@@ -23,15 +23,24 @@ verify: build
 # The final steps drive traced fleet runs end-to-end under the race
 # detector: many VMs emitting into one shared tracer and registry, once
 # eagerly and once with the CoW commit's background copier and write
-# faults live.
+# faults live. Each mode's run greps for its trace object and metric
+# series, so a mode whose counters stop reaching the trace or the
+# metrics dump fails here.
 verify-quick:
 	$(GO) test -race ./internal/checkpoint ./internal/detect ./internal/core ./internal/hv ./internal/fleet ./internal/cluster ./internal/obs
 	$(GO) run -race ./cmd/crimes -vms 3 -stagger -epochs 2 \
 		-trace /tmp/crimes-verify-trace.jsonl -metrics /tmp/crimes-verify-metrics.txt >/dev/null
 	$(GO) run -race ./cmd/crimes -vms 3 -stagger -epochs 2 -cow \
 		-trace /tmp/crimes-verify-trace-cow.jsonl -metrics /tmp/crimes-verify-metrics-cow.txt >/dev/null
+	grep -q '"cow"' /tmp/crimes-verify-trace-cow.jsonl
+	grep -q crimes_cow_total /tmp/crimes-verify-metrics-cow.txt
 	$(GO) run -race ./cmd/crimes -vms 3 -stagger -epochs 2 -remus delta+dedup -opt noopt \
 		-trace /tmp/crimes-verify-trace-delta.jsonl -metrics /tmp/crimes-verify-metrics-delta.txt >/dev/null
+	grep -q '"repl"' /tmp/crimes-verify-trace-delta.jsonl
+	$(GO) run -race ./cmd/crimes -vms 3 -stagger -epochs 2 -scan-cache on \
+		-trace /tmp/crimes-verify-trace-scan.jsonl -metrics /tmp/crimes-verify-metrics-scan.txt >/dev/null
+	grep -q '"scan_cache"' /tmp/crimes-verify-trace-scan.jsonl
+	grep -q crimes_scan_cache_total /tmp/crimes-verify-metrics-scan.txt
 	$(GO) run -race ./cmd/crimes -hosts 3 -vms 6 -epochs 4 -host-kill host1:3 \
 		-trace /tmp/crimes-verify-trace-cluster.jsonl -metrics /tmp/crimes-verify-metrics-cluster.txt >/dev/null
 	$(GO) run -race ./cmd/crimes -vms 8 -stagger -epochs 4 -slo 2500us \

@@ -199,7 +199,7 @@ func BenchmarkAblationRemoteReplication(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			c, err := checkpoint.New(h, dom, cost.Full)
+			c, err := checkpoint.New(h, dom, checkpoint.Params{Opt: cost.Full})
 			if err != nil {
 				b.Fatal(err)
 			}

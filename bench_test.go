@@ -118,7 +118,7 @@ func BenchmarkCheckpointPath(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			c, err := checkpoint.New(h, dom, opt)
+			c, err := checkpoint.New(h, dom, checkpoint.Params{Opt: opt})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -159,7 +159,7 @@ func BenchmarkPauseParallel(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			c, err := checkpoint.NewWithWorkers(h, dom, cost.Full, workers)
+			c, err := checkpoint.New(h, dom, checkpoint.Params{Opt: cost.Full, Workers: workers})
 			if err != nil {
 				b.Fatal(err)
 			}

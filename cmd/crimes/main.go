@@ -272,25 +272,8 @@ func run() (retErr error) {
 		sys.Controller.Epoch(), sys.Controller.VirtualTime().Round(time.Millisecond),
 		sys.Controller.TotalPause().Round(time.Millisecond),
 		100*float64(sys.Controller.TotalPause())/float64(sys.Controller.VirtualTime()))
-	if sc := sys.Controller.ScanCacheTotals(); sc != (cost.ScanCacheCounts{}) {
-		rate := 0.0
-		if sc.CacheHits+sc.CacheMisses > 0 {
-			rate = 100 * float64(sc.CacheHits) / float64(sc.CacheHits+sc.CacheMisses)
-		}
-		used, capacity := sys.Controller.ScanCacheLive()
-		fmt.Printf("scan cache: hits=%d misses=%d (%.1f%% hit) unmaps=%d swept=%d memo=%d/%d live=%d/%d pages\n",
-			sc.CacheHits, sc.CacheMisses, rate, sc.CacheUnmaps, sc.CacheSwept,
-			sc.MemoHits, sc.MemoHits+sc.MemoMisses, used, capacity)
-	}
-	if cw := sys.Controller.CoWTotals(); cw != (cost.CoWCounts{}) {
-		fmt.Printf("cow: armed=%d write_faults=%d drained=%d\n",
-			cw.ArmedPages, cw.WriteFaults, cw.DrainPages)
-	}
-	if rp := sys.Controller.ReplicationTotals(); rp != (cost.ReplicationCounts{}) {
-		fmt.Printf("replication: wire=%d raw=%d (%.1f%% cut) pages raw=%d delta=%d same=%d dup=%d zero=%d\n",
-			rp.WireBytes, rp.RawBytes, 100*rp.Reduction(),
-			rp.RawPages, rp.DeltaPages, rp.SamePages, rp.DupPages, rp.ZeroPages)
-	}
+	used, capacity := sys.Controller.ScanCacheLive()
+	fmt.Print(sys.Controller.Totals().Summary(fmt.Sprintf("%d/%d", used, capacity)))
 	if clients != nil {
 		virt := sys.Controller.VirtualTime()
 		fmt.Printf("web: %d users served %d requests (%.0f req/s); p50=%v p99=%v p999=%v\n",

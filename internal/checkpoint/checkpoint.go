@@ -242,24 +242,7 @@ type PhaseTimings struct {
 // attempt.
 func (c *Checkpointer) LastReport() CommitReport { return c.report }
 
-// New creates a checkpointer for the primary domain at the given
-// optimization level, allocates the backup domain (doubling the VM's
-// memory cost, §3.3), and performs the initial full synchronization.
-// The pause path is serial; NewWithWorkers parallelizes it.
-func New(h *hv.Hypervisor, primary *hv.Domain, opt cost.Optimization) (*Checkpointer, error) {
-	return NewWithWorkers(h, primary, opt, 1)
-}
-
-// NewWithWorkers is New with a parallel pause path: scan, undo capture,
-// and page copy shard across the given number of workers, the disk copy
-// overlaps the memory copy, and remote replication (when enabled) is
-// pipelined out of the pause window. workers <= 1 is the exact serial
-// path, byte-for-byte and fault-for-fault identical to New's.
-func NewWithWorkers(h *hv.Hypervisor, primary *hv.Domain, opt cost.Optimization, workers int) (*Checkpointer, error) {
-	return NewWithParams(h, primary, Params{Opt: opt, Workers: workers})
-}
-
-// Params configures a checkpointer beyond the optimization level.
+// Params configures a checkpointer.
 type Params struct {
 	// Opt is the paper's optimization level.
 	Opt cost.Optimization
@@ -273,9 +256,14 @@ type Params struct {
 	RemusBudgetPages int
 }
 
-// NewWithParams is the fully parameterized constructor: optimization
-// level, pause-path parallelism, and the replication wire protocol.
-func NewWithParams(h *hv.Hypervisor, primary *hv.Domain, p Params) (*Checkpointer, error) {
+// New creates a checkpointer for the primary domain, allocates the
+// backup domain (doubling the VM's memory cost, §3.3), and performs the
+// initial full synchronization. With p.Workers > 1 the pause path runs
+// in parallel: scan, undo capture, and page copy shard across the
+// workers, the disk copy overlaps the memory copy, and remote
+// replication (when enabled) is pipelined out of the pause window.
+// Workers <= 1 is the exact serial path.
+func New(h *hv.Hypervisor, primary *hv.Domain, p Params) (*Checkpointer, error) {
 	if p.Workers < 1 {
 		p.Workers = 1
 	}
@@ -631,26 +619,9 @@ func (c *Checkpointer) checkpointDirty() (cost.Counts, error) {
 	if err != nil {
 		return counts, err
 	}
-	counts.LocalRepl = replCounts(local.Stats().Sub(localBase))
-	counts.RemoteRepl = replCounts(remote.Stats().Sub(remoteBase))
+	counts.LocalRepl = local.Stats().Sub(localBase)
+	counts.RemoteRepl = remote.Stats().Sub(remoteBase)
 	return counts, nil
-}
-
-// replCounts converts conduit stream accounting into the cost model's
-// replication counts.
-func replCounts(s remus.StreamStats) cost.ReplicationCounts {
-	return cost.ReplicationCounts{
-		Batches:      s.Batches,
-		Pages:        s.Pages,
-		RawPages:     s.RawPages,
-		DeltaPages:   s.DeltaPages,
-		SamePages:    s.SamePages,
-		DupPages:     s.DupPages,
-		ZeroPages:    s.ZeroPages,
-		EncodedPages: s.EncodedPages,
-		WireBytes:    s.WireBytes,
-		RawBytes:     s.RawBytes,
-	}
 }
 
 func (c *Checkpointer) commitDirty() (cost.Counts, error) {

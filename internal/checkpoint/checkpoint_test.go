@@ -21,7 +21,7 @@ func newPair(t *testing.T, opt cost.Optimization) (*hv.Hypervisor, *hv.Domain, *
 	if err != nil {
 		t.Fatalf("CreateDomain: %v", err)
 	}
-	c, err := New(h, d, opt)
+	c, err := New(h, d, Params{Opt: opt})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -62,7 +62,7 @@ func TestInitialSyncEqualizesBackup(t *testing.T) {
 			if err := d.WritePhys(5*mem.PageSize, []byte("pre-existing state")); err != nil {
 				t.Fatalf("WritePhys: %v", err)
 			}
-			c, err := New(h, d, opt)
+			c, err := New(h, d, Params{Opt: opt})
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
@@ -182,7 +182,7 @@ func TestRollbackRestoresPrimary(t *testing.T) {
 func TestCheckpointAfterCloseFails(t *testing.T) {
 	h := hv.New(2*domPages + 8)
 	d, _ := h.CreateDomain("vm", domPages)
-	c, err := New(h, d, cost.NoOpt)
+	c, err := New(h, d, Params{Opt: cost.NoOpt})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -201,7 +201,7 @@ func TestBackupDoublesMemoryCost(t *testing.T) {
 	h := hv.New(2*domPages + 8)
 	free0 := h.Machine().FreeFrames()
 	d, _ := h.CreateDomain("vm", domPages)
-	c, err := New(h, d, cost.Full)
+	c, err := New(h, d, Params{Opt: cost.Full})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -217,7 +217,7 @@ func TestHypercallCountsReflectOptimizations(t *testing.T) {
 	perEpochMaps := func(opt cost.Optimization) int {
 		h := hv.New(2*domPages + 8)
 		d, _ := h.CreateDomain("vm", domPages)
-		c, err := New(h, d, opt)
+		c, err := New(h, d, Params{Opt: opt})
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
@@ -251,7 +251,7 @@ func TestRemoteReplication(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CreateDomain: %v", err)
 	}
-	c, err := New(h, d, cost.Full)
+	c, err := New(h, d, Params{Opt: cost.Full})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -301,7 +301,7 @@ func TestRemoteReplicationCostsExtra(t *testing.T) {
 func TestDiskCheckpointStandalone(t *testing.T) {
 	h := hv.New(2*domPages + 8)
 	d, _ := h.CreateDomain("vm", domPages)
-	c, err := New(h, d, cost.Full)
+	c, err := New(h, d, Params{Opt: cost.Full})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -17,9 +17,9 @@ func newCoWCheckpointer(t *testing.T) (*hv.Hypervisor, *hv.Domain, *Checkpointer
 	if err != nil {
 		t.Fatalf("CreateDomain: %v", err)
 	}
-	c, err := NewWithWorkers(h, d, cost.Full, 2)
+	c, err := New(h, d, Params{Opt: cost.Full, Workers: 2})
 	if err != nil {
-		t.Fatalf("NewWithWorkers: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	t.Cleanup(func() { c.Close() })
 	if err := c.EnableCoW(); err != nil {

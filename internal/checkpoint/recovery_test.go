@@ -48,7 +48,7 @@ func TestNewReleasesResourcesOnFailure(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			h, d, inj, free0, doms0 := newFaultHV(t, 2*domPages+8)
 			inj.Fail(tc.site, tc.n, 1, false)
-			c, err := New(h, d, tc.opt)
+			c, err := New(h, d, Params{Opt: tc.opt})
 			if err == nil {
 				c.Close()
 				t.Fatalf("New survived an injected %s failure", tc.site)
@@ -63,7 +63,7 @@ func TestNewReleasesResourcesOnFailure(t *testing.T) {
 				t.Fatalf("FreeFrames = %d after failed New, want %d (frames leaked)", got, free0)
 			}
 			// The primary is untouched: a retry must succeed.
-			c, err = New(h, d, tc.opt)
+			c, err = New(h, d, Params{Opt: tc.opt})
 			if err != nil {
 				t.Fatalf("retry New: %v", err)
 			}
@@ -89,7 +89,7 @@ func TestEnableRemoteReplicationReleasesOnFailure(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			h, d, inj, _, _ := newFaultHV(t, 3*domPages+8)
-			c, err := New(h, d, cost.Full)
+			c, err := New(h, d, Params{Opt: cost.Full})
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
@@ -128,7 +128,7 @@ func TestEnableRemoteReplicationReleasesOnFailure(t *testing.T) {
 // the last clean checkpoint, and a retried commit converges.
 func TestPartialCommitUndoRestoresBackup(t *testing.T) {
 	h, d, inj, _, _ := newFaultHV(t, 2*domPages+8)
-	c, err := New(h, d, cost.Full)
+	c, err := New(h, d, Params{Opt: cost.Full})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -194,7 +194,7 @@ func TestPartialCommitUndoRestoresBackup(t *testing.T) {
 // local-only and records the event.
 func TestCommitDegradesRemoteOnPersistentFailure(t *testing.T) {
 	h, d, inj, _, _ := newFaultHV(t, 3*domPages+8)
-	c, err := New(h, d, cost.Full)
+	c, err := New(h, d, Params{Opt: cost.Full})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -234,7 +234,7 @@ func TestCommitDegradesRemoteOnPersistentFailure(t *testing.T) {
 // absorbed inside the commit and counted.
 func TestCommitRetriesTransientRemoteFailures(t *testing.T) {
 	h, d, inj, _, _ := newFaultHV(t, 3*domPages+8)
-	c, err := New(h, d, cost.Full)
+	c, err := New(h, d, Params{Opt: cost.Full})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -23,9 +23,9 @@ func TestDegradedShipErrorNotSticky(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CreateDomain: %v", err)
 	}
-	c, err := NewWithWorkers(h, d, cost.Full, 4)
+	c, err := New(h, d, Params{Opt: cost.Full, Workers: 4})
 	if err != nil {
-		t.Fatalf("NewWithWorkers: %v", err)
+		t.Fatalf("New: %v", err)
 	}
 	defer c.Close()
 	if err := c.EnableRemoteReplication([]byte("0123456789abcdef")); err != nil {

@@ -562,30 +562,18 @@ func (cl *Cluster) Report() *Report {
 	}
 	r.MaxPaused = cl.cfg.MaxPausedPerHost
 	r.Stagger = cl.cfg.Stagger
+	for _, vm := range cl.vms {
+		r.AddVM(vm.Stats())
+	}
+	// Hypercalls is the host-wide count over every host, dead or
+	// alive, in place of the per-VM sum AddVM accumulated.
+	r.Hypercalls = cost.Hypercalls{}
 	for _, name := range cl.order {
 		h := cl.hosts[name]
 		if p := h.gate.Peak(); p > r.MaxPausedObserved {
 			r.MaxPausedObserved = p
 		}
 		r.Hypercalls.Add(h.hv.Calls())
-	}
-	for _, vm := range cl.vms {
-		s := vm.Stats()
-		r.VMs = append(r.VMs, s)
-		r.AggregatePause += s.PauseTotal
-		if s.PauseTotal > r.WorstPause {
-			r.WorstPause = s.PauseTotal
-		}
-		r.TotalEpochs += s.Epochs
-		r.TotalFindings += s.Findings
-		r.TotalIncidents += s.Incidents
-		if s.Halted {
-			r.HaltedVMs++
-		}
-		r.ScanCache.Add(s.ScanCache)
-		r.ScanCachePages += s.ScanCachePages
-		r.CoW.Add(s.CoW)
-		r.Replication.Add(s.Replication)
 	}
 	if cl.cfg.Core.Obs.Enabled() {
 		reg := cl.cfg.Core.Obs.Registry()
@@ -721,12 +709,9 @@ func addStats(a, b fleet.Stats) fleet.Stats {
 	a.Degradations += b.Degradations
 	a.PauseTotal += b.PauseTotal
 	a.VirtualTime += b.VirtualTime
-	a.Hypercalls.Add(b.Hypercalls)
-	a.ScanCache.Add(b.ScanCache)
+	a.Totals.Add(b.Totals)
 	a.ScanCachePages = b.ScanCachePages
 	a.ScanCacheCapacity = b.ScanCacheCapacity
-	a.CoW.Add(b.CoW)
-	a.Replication.Add(b.Replication)
 	a.Halted = b.Halted
 	a.StaggerOffset = b.StaggerOffset
 	if b.Err != "" {

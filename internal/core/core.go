@@ -396,23 +396,18 @@ type Controller struct {
 
 	// Scan-path acceleration (nil / unused when cfg.ScanCache is off):
 	// scanCache is the cross-epoch page-mapping cache the audit reads
-	// through, scanMemo the incremental walk memo (ScanCacheOn only),
-	// and scanStats the cumulative cache counters for fleet roll-ups.
+	// through, scanMemo the incremental walk memo (ScanCacheOn only).
 	scanCache *hv.CachedMapping
 	scanMemo  *vmi.WalkMemo
-	scanStats cost.ScanCacheCounts
 
-	// CoW accounting (zero / unused when cfg.CoW is off): cowPrevArmed
-	// is the page count armed at the previous successful commit — the
-	// pool the next epoch's write faults and lazy drain draw from — and
-	// cowStats the cumulative counters for fleet roll-ups.
+	// cowPrevArmed is the page count armed at the previous successful
+	// commit — the pool the next epoch's write faults and lazy drain
+	// draw from (zero / unused when cfg.CoW is off).
 	cowPrevArmed int
-	cowStats     cost.CoWCounts
 
-	// Delta-replication accounting (zero / unused when cfg.Remus is
-	// RemusRaw): the cumulative wire-protocol counters across local and
-	// remote conduits, for fleet roll-ups.
-	replStats cost.ReplicationCounts
+	// totals accumulates every epoch's scan-cache, CoW and replication
+	// counters for fleet roll-ups; Totals fills in the hypercalls.
+	totals cost.Totals
 
 	epoch      int
 	virtualNow time.Duration
@@ -441,24 +436,41 @@ type coreMetrics struct {
 	dirtyPages *obs.Histogram
 	gateWaitNs *obs.Histogram // measured wall-clock pause-gate wait
 
-	hcMap, hcUnmap, hcTranslate, hcDirtyRead, hcEvent *obs.Counter
-
-	// Scan-cache series; registered only when the scan cache is enabled
-	// so cache-off metric dumps are unchanged.
-	scHits, scMisses, scUnmaps, scSwept, scMemoHits, scMemoMisses *obs.Counter
-
-	// CoW series; registered only when CoW checkpointing is enabled so
-	// CoW-off metric dumps are unchanged.
-	cowArmed, cowFaults, cowDrained *obs.Counter
-
-	// Delta-replication series; registered only when the v2 wire
-	// protocol is enabled so raw-mode metric dumps are unchanged.
-	remusWire, remusRaw                                            *obs.Counter
-	remusOpRaw, remusOpDelta, remusOpSame, remusOpDup, remusOpZero *obs.Counter
+	// One series set per counter set. The scan-cache, CoW and
+	// replication sets are registered only when their mode is on, so a
+	// mode-off metric dump is unchanged; an unregistered set is inert.
+	hc   counterSeries[cost.Hypercalls]
+	sc   counterSeries[cost.ScanCacheCounts]
+	cow  counterSeries[cost.CoWCounts]
+	repl counterSeries[cost.ReplicationCounts]
 
 	// SLO-controller series; registered only when a controller is
 	// configured so untuned metric dumps are unchanged.
 	sloSteps *obs.Counter
+}
+
+// counterSeries are the metric handles of one counter set, resolved
+// from its cost field table (nil for fields that are not exported).
+type counterSeries[T any] struct {
+	fields []cost.Field[T]
+	ctrs   []*obs.Counter
+}
+
+func newCounterSeries[T any](reg *obs.Registry, vm string, fields []cost.Field[T]) counterSeries[T] {
+	s := counterSeries[T]{fields: fields, ctrs: make([]*obs.Counter, len(fields))}
+	for i, f := range fields {
+		if f.Metric != "" {
+			s.ctrs[i] = reg.Counter(f.Metric, "vm", vm, f.Label, f.Value)
+		}
+	}
+	return s
+}
+
+// add folds one epoch's counts into the series.
+func (s counterSeries[T]) add(v T) {
+	for i, c := range s.ctrs {
+		c.Add(s.fields[i].Get(v))
+	}
 }
 
 // New creates a controller: it initializes introspection (init +
@@ -513,7 +525,7 @@ func New(h *hv.Hypervisor, g *guestos.Guest, cfg Config) (*Controller, error) {
 	c.buf = netbuf.New(cfg.Safety, cfg.Deliverer)
 	g.SetOutputSink(c.buf)
 
-	if c.ckpt, err = checkpoint.NewWithParams(h, c.dom, checkpoint.Params{
+	if c.ckpt, err = checkpoint.New(h, c.dom, checkpoint.Params{
 		Opt:              cfg.Opt,
 		Workers:          cfg.Workers,
 		Remus:            cfg.Remus.wire(),
@@ -553,40 +565,23 @@ func New(h *hv.Hypervisor, g *guestos.Guest, cfg Config) (*Controller, error) {
 		reg := cfg.Obs.Registry()
 		vm := c.obsVM
 		c.met = coreMetrics{
-			epochs:      reg.Counter("crimes_epochs_total", "vm", vm),
-			findings:    reg.Counter("crimes_findings_total", "vm", vm),
-			incidents:   reg.Counter("crimes_incidents_total", "vm", vm),
-			retries:     reg.Counter("crimes_retries_total", "vm", vm),
-			pauseNs:     reg.Histogram("crimes_pause_virtual_ns", obs.DurationBuckets(), "vm", vm),
-			dirtyPages:  reg.Histogram("crimes_dirty_pages", obs.PageBuckets(), "vm", vm),
-			gateWaitNs:  reg.Histogram("crimes_gate_wait_ns", obs.DurationBuckets(), "vm", vm),
-			hcMap:       reg.Counter("crimes_hypercalls_total", "vm", vm, "op", "map_page"),
-			hcUnmap:     reg.Counter("crimes_hypercalls_total", "vm", vm, "op", "unmap_page"),
-			hcTranslate: reg.Counter("crimes_hypercalls_total", "vm", vm, "op", "translate"),
-			hcDirtyRead: reg.Counter("crimes_hypercalls_total", "vm", vm, "op", "dirty_read"),
-			hcEvent:     reg.Counter("crimes_hypercalls_total", "vm", vm, "op", "event_config"),
+			epochs:     reg.Counter("crimes_epochs_total", "vm", vm),
+			findings:   reg.Counter("crimes_findings_total", "vm", vm),
+			incidents:  reg.Counter("crimes_incidents_total", "vm", vm),
+			retries:    reg.Counter("crimes_retries_total", "vm", vm),
+			pauseNs:    reg.Histogram("crimes_pause_virtual_ns", obs.DurationBuckets(), "vm", vm),
+			dirtyPages: reg.Histogram("crimes_dirty_pages", obs.PageBuckets(), "vm", vm),
+			gateWaitNs: reg.Histogram("crimes_gate_wait_ns", obs.DurationBuckets(), "vm", vm),
+			hc:         newCounterSeries(reg, vm, cost.HypercallFields),
 		}
 		if cfg.ScanCache != ScanCacheOff {
-			c.met.scHits = reg.Counter("crimes_scan_cache_total", "vm", vm, "op", "hit")
-			c.met.scMisses = reg.Counter("crimes_scan_cache_total", "vm", vm, "op", "miss")
-			c.met.scUnmaps = reg.Counter("crimes_scan_cache_total", "vm", vm, "op", "unmap")
-			c.met.scSwept = reg.Counter("crimes_scan_cache_total", "vm", vm, "op", "sweep")
-			c.met.scMemoHits = reg.Counter("crimes_scan_cache_total", "vm", vm, "op", "memo_hit")
-			c.met.scMemoMisses = reg.Counter("crimes_scan_cache_total", "vm", vm, "op", "memo_miss")
+			c.met.sc = newCounterSeries(reg, vm, cost.ScanCacheFields)
 		}
 		if cfg.CoW {
-			c.met.cowArmed = reg.Counter("crimes_cow_total", "vm", vm, "op", "armed")
-			c.met.cowFaults = reg.Counter("crimes_cow_total", "vm", vm, "op", "write_fault")
-			c.met.cowDrained = reg.Counter("crimes_cow_total", "vm", vm, "op", "drained")
+			c.met.cow = newCounterSeries(reg, vm, cost.CoWFields)
 		}
 		if cfg.Remus != RemusRaw {
-			c.met.remusWire = reg.Counter("crimes_remus_bytes_total", "vm", vm, "kind", "wire")
-			c.met.remusRaw = reg.Counter("crimes_remus_bytes_total", "vm", vm, "kind", "raw")
-			c.met.remusOpRaw = reg.Counter("crimes_remus_pages_total", "vm", vm, "op", "raw")
-			c.met.remusOpDelta = reg.Counter("crimes_remus_pages_total", "vm", vm, "op", "delta")
-			c.met.remusOpSame = reg.Counter("crimes_remus_pages_total", "vm", vm, "op", "same")
-			c.met.remusOpDup = reg.Counter("crimes_remus_pages_total", "vm", vm, "op", "dup")
-			c.met.remusOpZero = reg.Counter("crimes_remus_pages_total", "vm", vm, "op", "zero")
+			c.met.repl = newCounterSeries(reg, vm, cost.ReplicationFields)
 		}
 		if cfg.SLO.Enabled() {
 			c.met.sloSteps = reg.Counter("crimes_slo_steps_total", "vm", vm)
@@ -627,107 +622,25 @@ func (c *Controller) domainCalls() hv.Hypercalls {
 	return total
 }
 
-// hypercallDelta converts the since-epoch-start hypercall delta into
-// the obs representation, clamping negatives (a remote backup destroyed
-// mid-epoch takes its attributed calls with it) to zero.
-func hypercallDelta(before, after hv.Hypercalls) obs.Hypercalls {
-	clamp := func(v int) int {
-		if v < 0 {
-			return 0
-		}
-		return v
-	}
-	return obs.Hypercalls{
-		MapPage:     clamp(after.MapPage - before.MapPage),
-		UnmapPage:   clamp(after.UnmapPage - before.UnmapPage),
-		Translate:   clamp(after.Translate - before.Translate),
-		DirtyRead:   clamp(after.DirtyRead - before.DirtyRead),
-		EventConfig: clamp(after.EventConfig - before.EventConfig),
-	}
-}
-
-// recordHypercalls folds an epoch's hypercall delta into the per-VM
-// metric counters.
-func (c *Controller) recordHypercalls(d obs.Hypercalls) {
-	c.met.hcMap.Add(int64(d.MapPage))
-	c.met.hcUnmap.Add(int64(d.UnmapPage))
-	c.met.hcTranslate.Add(int64(d.Translate))
-	c.met.hcDirtyRead.Add(int64(d.DirtyRead))
-	c.met.hcEvent.Add(int64(d.EventConfig))
-}
-
-// scanCacheDelta converts since-snapshot cache and memo counters into
-// one epoch's cost-model counts.
-func (c *Controller) scanCacheDelta(cacheBefore hv.ScanCacheStats, memoBefore vmi.MemoStats) cost.ScanCacheCounts {
-	d := c.scanCache.Stats().Sub(cacheBefore)
-	out := cost.ScanCacheCounts{
-		CacheHits:   d.Hits,
-		CacheMisses: d.Misses,
-		CacheUnmaps: d.Unmaps,
-		CacheSwept:  d.Swept,
-	}
+// scanCounts reads the scan cache's and walk memo's cumulative
+// counters; one epoch's activity is the difference of two reads.
+func (c *Controller) scanCounts() cost.ScanCacheCounts {
+	cs := c.scanCache.Stats()
+	out := cost.ScanCacheCounts{CacheHits: cs.Hits, CacheMisses: cs.Misses, CacheUnmaps: cs.Unmaps, CacheSwept: cs.Swept}
 	if c.scanMemo != nil {
-		md := c.scanMemo.Stats().Sub(memoBefore)
-		out.MemoHits = md.Hits
-		out.MemoMisses = md.Misses
+		ms := c.scanMemo.Stats()
+		out.MemoHits, out.MemoMisses = ms.Hits, ms.Misses
 	}
 	return out
 }
 
-// recordScanCache folds an epoch's scan-cache delta into the per-VM
-// metric counters.
-func (c *Controller) recordScanCache(d cost.ScanCacheCounts) {
-	c.met.scHits.Add(int64(d.CacheHits))
-	c.met.scMisses.Add(int64(d.CacheMisses))
-	c.met.scUnmaps.Add(int64(d.CacheUnmaps))
-	c.met.scSwept.Add(int64(d.CacheSwept))
-	c.met.scMemoHits.Add(int64(d.MemoHits))
-	c.met.scMemoMisses.Add(int64(d.MemoMisses))
-}
-
-// cowSnapshot captures the cumulative CoW counters at an epoch
-// boundary so the per-epoch delta can be derived at commit time.
-type cowSnapshot struct {
-	armed  int
-	faults uint64
-}
-
-func (c *Controller) cowSnap() cowSnapshot {
-	return cowSnapshot{
-		armed:  c.ckpt.CoWStats().ArmedPages,
-		faults: c.dom.WriteFaults(),
-	}
-}
-
-// cowDelta converts since-epoch-start CoW counters into one epoch's
-// cost-model counts. ArmedPages is the page count write-protected at
-// this epoch's commit; WriteFaults the faults the guest took during the
-// epoch on the previous commit's armed pages.
-func (c *Controller) cowDelta(before cowSnapshot) cost.CoWCounts {
-	now := c.cowSnap()
+// cowCounts reads the cumulative CoW counters: pages armed across all
+// commits and write faults taken on armed pages.
+func (c *Controller) cowCounts() cost.CoWCounts {
 	return cost.CoWCounts{
-		ArmedPages:  now.armed - before.armed,
-		WriteFaults: int(now.faults - before.faults),
+		ArmedPages:  c.ckpt.CoWStats().ArmedPages,
+		WriteFaults: int(c.dom.WriteFaults()),
 	}
-}
-
-// recordCoW folds an epoch's CoW delta into the per-VM metric counters.
-func (c *Controller) recordCoW(d cost.CoWCounts) {
-	c.met.cowArmed.Add(int64(d.ArmedPages))
-	c.met.cowFaults.Add(int64(d.WriteFaults))
-	c.met.cowDrained.Add(int64(d.DrainPages))
-}
-
-// recordReplication folds an epoch's delta-replication counters into
-// the per-VM metric counters.
-func (c *Controller) recordReplication(d cost.ReplicationCounts) {
-	c.met.remusWire.Add(d.WireBytes)
-	c.met.remusRaw.Add(d.RawBytes)
-	c.met.remusOpRaw.Add(int64(d.RawPages))
-	c.met.remusOpDelta.Add(int64(d.DeltaPages))
-	c.met.remusOpSame.Add(int64(d.SamePages))
-	c.met.remusOpDup.Add(int64(d.DupPages))
-	c.met.remusOpZero.Add(int64(d.ZeroPages))
 }
 
 // recordEpochMetrics rolls one completed RunEpoch (clean or not) into
@@ -783,21 +696,15 @@ func (c *Controller) SLOSteps() int { return c.cfg.SLO.Steps() }
 // that asymmetry is exactly what Config.EpochJitter buys.
 func (c *Controller) EpochIntervalAt(n int) time.Duration { return c.cfg.EpochIntervalAt(n) }
 
-// ScanCacheTotals returns the cumulative scan-path cache counters across
-// all epochs (all zero when the scan cache is disabled). Fleet
-// reporting rolls these up per VM.
-func (c *Controller) ScanCacheTotals() cost.ScanCacheCounts { return c.scanStats }
-
-// CoWTotals returns the cumulative copy-on-write commit counters
-// across all epochs (all zero when CoW is disabled). Fleet reporting
-// rolls these up per VM.
-func (c *Controller) CoWTotals() cost.CoWCounts { return c.cowStats }
-
-// ReplicationTotals returns the cumulative delta-replication wire
-// counters across all epochs and both conduits, local and remote (all
-// zero when the raw protocol is in use). Fleet reporting rolls these up
-// per VM.
-func (c *Controller) ReplicationTotals() cost.ReplicationCounts { return c.replStats }
+// Totals returns the cumulative counters across all epochs: the
+// scan-cache, CoW and replication activity (each all zero when its mode
+// is off) and the hypercalls attributed to every domain this VM's
+// checkpointer touches. Fleet reporting rolls these up per VM.
+func (c *Controller) Totals() cost.Totals {
+	t := c.totals
+	t.Hypercalls = c.domainCalls()
+	return t
+}
 
 // ScanCacheLive reports the page-mapping cache's current size and
 // capacity in pages (0, 0 when the scan cache is disabled).
@@ -846,13 +753,9 @@ type EpochResult struct {
 	ScanCache cost.ScanCacheCounts
 	// CoW is the epoch's copy-on-write commit activity (pages armed at
 	// this commit, write faults taken during the epoch, previously
-	// armed pages drained lazily); zero when CoW is disabled.
+	// armed pages drained lazily); zero when CoW is disabled. The
+	// epoch's replication traffic is Counts.Repl().
 	CoW cost.CoWCounts
-	// Replication is the epoch's delta-replication wire activity across
-	// the local and remote conduits (wire bytes shipped vs. the raw-
-	// protocol equivalent, plus the per-opcode page mix); zero when the
-	// raw protocol is in use.
-	Replication cost.ReplicationCounts
 }
 
 // Unwind paths a failing epoch can take; see Recovery.Unwind.
@@ -987,9 +890,9 @@ func (c *Controller) runEpoch(work func(*guestos.Guest) error) (*EpochResult, er
 	if c.obs != nil {
 		hcBefore = c.domainCalls()
 	}
-	var cowBefore cowSnapshot
+	var cowBefore cost.CoWCounts
 	if c.cfg.CoW {
-		cowBefore = c.cowSnap()
+		cowBefore = c.cowCounts()
 	}
 
 	// Speculative execution.
@@ -1047,13 +950,9 @@ func (c *Controller) runEpoch(work func(*guestos.Guest) error) (*EpochResult, er
 	// counter snapshots are taken first so the sweep itself is billed to
 	// this epoch's scan phase.
 	scanActive := c.scanCache != nil && c.cfg.Scan == ScanSync
-	var cacheBefore hv.ScanCacheStats
-	var memoBefore vmi.MemoStats
+	var scanBefore cost.ScanCacheCounts
 	if scanActive {
-		cacheBefore = c.scanCache.Stats()
-		if c.scanMemo != nil {
-			memoBefore = c.scanMemo.Stats()
-		}
+		scanBefore = c.scanCounts()
 		if c.cfg.ScanCache == ScanCacheOn {
 			c.scanCache.Invalidate(c.dirty)
 			c.scanMemo.Invalidate(c.dirty)
@@ -1083,15 +982,12 @@ func (c *Controller) runEpoch(work func(*guestos.Guest) error) (*EpochResult, er
 		}
 		ev := obs.Event{Phase: obs.PhaseScan, Findings: len(findings)}
 		if scanActive {
-			res.ScanCache = c.scanCacheDelta(cacheBefore, memoBefore)
-			c.scanStats.Add(res.ScanCache)
+			res.ScanCache = c.scanCounts().Sub(scanBefore)
+			c.totals.ScanCache.Add(res.ScanCache)
 			if c.obs != nil {
-				c.recordScanCache(res.ScanCache)
-				ev.ScanCache = &obs.ScanCache{
-					Hits: res.ScanCache.CacheHits, Misses: res.ScanCache.CacheMisses,
-					Unmaps: res.ScanCache.CacheUnmaps, Swept: res.ScanCache.CacheSwept,
-					MemoHits: res.ScanCache.MemoHits, MemoMisses: res.ScanCache.MemoMisses,
-				}
+				c.met.sc.add(res.ScanCache)
+				sc := res.ScanCache
+				ev.ScanCache = &sc
 			}
 		}
 		c.emit(ev)
@@ -1143,40 +1039,26 @@ func (c *Controller) runEpoch(work func(*guestos.Guest) error) (*EpochResult, er
 		// armed this epoch's dirty pages on exit: whatever the guest did
 		// not fault on during the epoch was (or will be) settled by the
 		// background copier.
-		res.CoW = c.cowDelta(cowBefore)
-		if res.CoW.DrainPages = c.cowPrevArmed - res.CoW.WriteFaults; res.CoW.DrainPages < 0 {
-			res.CoW.DrainPages = 0
-		}
+		res.CoW = c.cowCounts().Sub(cowBefore)
+		res.CoW.DrainPages = max(c.cowPrevArmed-res.CoW.WriteFaults, 0)
 		c.cowPrevArmed = res.CoW.ArmedPages
-		c.cowStats.Add(res.CoW)
+		c.totals.CoW.Add(res.CoW)
 	}
-	if c.cfg.Remus != RemusRaw {
-		res.Replication = counts.LocalRepl
-		res.Replication.Add(counts.RemoteRepl)
-		c.replStats.Add(res.Replication)
-	}
+	// Raw mode leaves both conduits' counts zero, so this adds nothing.
+	repl := counts.Repl()
+	c.totals.Replication.Add(repl)
 	if c.obs != nil {
-		delta := hypercallDelta(hcBefore, c.domainCalls())
-		c.recordHypercalls(delta)
+		hc := c.domainCalls().Sub(hcBefore)
+		c.met.hc.add(hc)
+		c.met.cow.add(res.CoW)
+		c.met.repl.add(repl)
 		ev := obs.Event{Phase: obs.PhaseCommit, DurNs: int64(time.Since(commitStart)),
-			Pages: counts.DirtyPages, Retries: res.Recovery.Retries, Hypercalls: &delta}
-		if c.cfg.CoW {
-			c.recordCoW(res.CoW)
-			if res.CoW != (cost.CoWCounts{}) {
-				ev.CoW = &obs.CoW{Armed: res.CoW.ArmedPages,
-					WriteFaults: res.CoW.WriteFaults, Drained: res.CoW.DrainPages}
-			}
+			Pages: counts.DirtyPages, Retries: res.Recovery.Retries, Hypercalls: &hc}
+		if cw := res.CoW; cw != (cost.CoWCounts{}) {
+			ev.CoW = &cw
 		}
-		if c.cfg.Remus != RemusRaw {
-			c.recordReplication(res.Replication)
-			if res.Replication != (cost.ReplicationCounts{}) {
-				ev.Repl = &obs.Replication{
-					WireBytes: res.Replication.WireBytes, RawBytes: res.Replication.RawBytes,
-					Raw: res.Replication.RawPages, Delta: res.Replication.DeltaPages,
-					Same: res.Replication.SamePages, Dup: res.Replication.DupPages,
-					Zero: res.Replication.ZeroPages,
-				}
-			}
+		if r := repl; r != (cost.ReplicationCounts{}) {
+			ev.Repl = &r
 		}
 		c.emit(ev)
 		if rep.RemoteAcked > 0 || rep.RemoteInFlight > 0 || rep.RemoteDegraded || counts.RemotePages > 0 {

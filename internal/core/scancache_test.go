@@ -27,7 +27,7 @@ func TestScanCacheOffKeepsZeroCounters(t *testing.T) {
 			t.Fatalf("cache-off epoch reported scan-cache activity: %+v", res.ScanCache)
 		}
 	}
-	if tot := ctl.ScanCacheTotals(); tot != (cost.ScanCacheCounts{}) {
+	if tot := ctl.Totals().ScanCache; tot != (cost.ScanCacheCounts{}) {
 		t.Fatalf("cache-off totals = %+v, want zero", tot)
 	}
 	if used, capacity := ctl.ScanCacheLive(); used != 0 || capacity != 0 {
@@ -62,7 +62,7 @@ func TestScanCacheOnEpochCounters(t *testing.T) {
 		}
 		sum.Add(sc)
 	}
-	if tot := ctl.ScanCacheTotals(); tot != sum {
+	if tot := ctl.Totals().ScanCache; tot != sum {
 		t.Fatalf("totals = %+v, want sum of epoch deltas %+v", tot, sum)
 	}
 	used, capacity := ctl.ScanCacheLive()
@@ -214,7 +214,7 @@ func TestScanCacheObsSeries(t *testing.T) {
 		for _, ev := range sink.Events() {
 			if ev.Phase == obs.PhaseScan && ev.ScanCache != nil {
 				attached = true
-				if *ev.ScanCache == (obs.ScanCache{}) {
+				if *ev.ScanCache == (cost.ScanCacheCounts{}) {
 					t.Fatalf("%v: scan event carried an all-zero cache delta", tc.mode)
 				}
 			}

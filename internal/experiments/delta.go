@@ -184,7 +184,7 @@ func runDeltaArm(ws, writeBytes int, mode core.RemusMode) (*deltaArmResult, erro
 		}
 		out.steady++
 		out.pauseMs += ms(res.Phases.Total())
-		out.repl.Add(res.Replication)
+		out.repl.Add(res.Counts.Repl())
 	}
 	out.pauseMs /= float64(out.steady)
 	return out, nil

@@ -12,6 +12,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -128,22 +129,14 @@ type Stats struct {
 	// StaggerOffset is the VM's scheduled epoch-boundary offset under
 	// staggered scheduling (informational; zero when synchronized).
 	StaggerOffset time.Duration
-	// Hypercalls is the VM's per-domain attributed hypercall footprint,
-	// summed over its primary and checkpoint backup domains.
-	Hypercalls hv.Hypercalls
-	// ScanCache is the VM's cumulative scan-path cache activity;
-	// ScanCachePages / ScanCacheCapacity its live mapping footprint and
-	// budget share. All zero when the scan cache is off.
-	ScanCache         cost.ScanCacheCounts
+	// Totals is the VM's cumulative counter record: the hypercalls
+	// attributed to its primary and checkpoint domains, plus its
+	// scan-cache, CoW and replication activity.
+	cost.Totals
+	// ScanCachePages / ScanCacheCapacity are the VM's live scan-cache
+	// mapping footprint and budget share; zero when the cache is off.
 	ScanCachePages    int
 	ScanCacheCapacity int
-	// CoW is the VM's cumulative copy-on-write commit activity. All
-	// zero when CoW checkpointing is off.
-	CoW cost.CoWCounts
-	// Replication is the VM's cumulative delta-replication wire
-	// activity across its local and remote conduits. All zero when the
-	// raw wire protocol is in use.
-	Replication cost.ReplicationCounts
 	// Err records the error that stopped the VM's loop, if any.
 	Err string
 }
@@ -351,13 +344,8 @@ func (vm *VM) Stats() Stats {
 	s.Halted = vm.Controller.Halted()
 	s.PauseTotal = vm.Controller.TotalPause()
 	s.VirtualTime = vm.Controller.VirtualTime()
-	for _, d := range vm.Controller.Checkpointer().Domains() {
-		s.Hypercalls.Add(d.Calls())
-	}
-	s.ScanCache = vm.Controller.ScanCacheTotals()
+	s.Totals = vm.Controller.Totals()
 	s.ScanCachePages, s.ScanCacheCapacity = vm.Controller.ScanCacheLive()
-	s.CoW = vm.Controller.CoWTotals()
-	s.Replication = vm.Controller.ReplicationTotals()
 	return s
 }
 
@@ -380,19 +368,29 @@ type Report struct {
 	TotalFindings  int
 	TotalIncidents int
 	HaltedVMs      int
-	// Hypercalls is the host-wide aggregate across all domains.
-	Hypercalls hv.Hypercalls
-	// ScanCache aggregates every VM's scan-path cache counters;
-	// ScanCachePages the live mappings currently held fleet-wide. Both
-	// zero when the scan cache is off.
-	ScanCache      cost.ScanCacheCounts
+	// Totals aggregates every VM's counters, except Hypercalls, which
+	// is the host-wide aggregate across all domains.
+	cost.Totals
+	// ScanCachePages is the live scan-cache mappings held fleet-wide.
 	ScanCachePages int
-	// CoW aggregates every VM's copy-on-write commit counters; zero
-	// when CoW checkpointing is off.
-	CoW cost.CoWCounts
-	// Replication aggregates every VM's delta-replication wire
-	// counters; zero when the raw wire protocol is in use.
-	Replication cost.ReplicationCounts
+}
+
+// AddVM appends one VM's row to the table and folds it into the
+// roll-ups. Callers set Hypercalls to the host-wide count afterwards.
+func (r *Report) AddVM(s Stats) {
+	r.VMs = append(r.VMs, s)
+	r.AggregatePause += s.PauseTotal
+	if s.PauseTotal > r.WorstPause {
+		r.WorstPause = s.PauseTotal
+	}
+	r.TotalEpochs += s.Epochs
+	r.TotalFindings += s.Findings
+	r.TotalIncidents += s.Incidents
+	if s.Halted {
+		r.HaltedVMs++
+	}
+	r.Totals.Add(s.Totals)
+	r.ScanCachePages += s.ScanCachePages
 }
 
 // Report snapshots the fleet's current accounting.
@@ -403,26 +401,11 @@ func (f *Fleet) Report() *Report {
 		MaxPaused:         f.gate.K(),
 		MaxPausedObserved: f.gate.Peak(),
 		Stagger:           f.cfg.Stagger,
-		Hypercalls:        f.hv.Calls(),
 	}
 	for _, vm := range f.vms {
-		s := vm.Stats()
-		r.VMs = append(r.VMs, s)
-		r.AggregatePause += s.PauseTotal
-		if s.PauseTotal > r.WorstPause {
-			r.WorstPause = s.PauseTotal
-		}
-		r.TotalEpochs += s.Epochs
-		r.TotalFindings += s.Findings
-		if s.Halted {
-			r.HaltedVMs++
-		}
-		r.TotalIncidents += s.Incidents
-		r.ScanCache.Add(s.ScanCache)
-		r.ScanCachePages += s.ScanCachePages
-		r.CoW.Add(s.CoW)
-		r.Replication.Add(s.Replication)
+		r.AddVM(vm.Stats())
 	}
+	r.Hypercalls = f.hv.Calls()
 	if f.cfg.Core.Obs.Enabled() {
 		reg := f.cfg.Core.Obs.Registry()
 		reg.Gauge("crimes_fleet_vms").Set(int64(len(r.VMs)))
@@ -444,20 +427,15 @@ func (r *Report) Render() string {
 		len(r.VMs), mode, r.MaxPaused, r.MaxPausedObserved)
 	// The host column appears only when some VM carries a host label, so
 	// single-host fleet output is unchanged.
-	hosts := false
+	hostCol := func(string) string { return "" }
 	for _, s := range r.VMs {
 		if s.Host != "" {
-			hosts = true
+			hostCol = func(h string) string { return fmt.Sprintf("%-10s ", h) }
 			break
 		}
 	}
-	if hosts {
-		fmt.Fprintf(&b, "%-10s %-10s %6s %6s %8s %9s %7s %12s %12s %10s %s\n",
-			"vm", "host", "epochs", "clean", "findings", "incidents", "dirty", "pause", "vtime", "hcalls", "status")
-	} else {
-		fmt.Fprintf(&b, "%-10s %6s %6s %8s %9s %7s %12s %12s %10s %s\n",
-			"vm", "epochs", "clean", "findings", "incidents", "dirty", "pause", "vtime", "hcalls", "status")
-	}
+	fmt.Fprintf(&b, "%-10s %s%6s %6s %8s %9s %7s %12s %12s %10s %s\n",
+		"vm", hostCol("host"), "epochs", "clean", "findings", "incidents", "dirty", "pause", "vtime", "hcalls", "status")
 	for _, s := range r.VMs {
 		status := "ok"
 		switch {
@@ -466,47 +444,17 @@ func (r *Report) Render() string {
 		case s.Err != "":
 			status = "error"
 		}
-		hcalls := s.Hypercalls.MapPage + s.Hypercalls.UnmapPage + s.Hypercalls.Translate +
-			s.Hypercalls.DirtyRead + s.Hypercalls.EventConfig
-		if hosts {
-			fmt.Fprintf(&b, "%-10s %-10s %6d %6d %8d %9d %7d %12v %12v %10d %s\n",
-				s.Name, s.Host, s.Epochs, s.CleanEpochs, s.Findings, s.Incidents, s.DirtyPages,
-				s.PauseTotal.Round(time.Microsecond), s.VirtualTime.Round(time.Millisecond),
-				hcalls, status)
-		} else {
-			fmt.Fprintf(&b, "%-10s %6d %6d %8d %9d %7d %12v %12v %10d %s\n",
-				s.Name, s.Epochs, s.CleanEpochs, s.Findings, s.Incidents, s.DirtyPages,
-				s.PauseTotal.Round(time.Microsecond), s.VirtualTime.Round(time.Millisecond),
-				hcalls, status)
-		}
+		fmt.Fprintf(&b, "%-10s %s%6d %6d %8d %9d %7d %12v %12v %10d %s\n",
+			s.Name, hostCol(s.Host), s.Epochs, s.CleanEpochs, s.Findings, s.Incidents, s.DirtyPages,
+			s.PauseTotal.Round(time.Microsecond), s.VirtualTime.Round(time.Millisecond),
+			s.Hypercalls.Total(), status)
 	}
 	fmt.Fprintf(&b, "aggregate: pause=%v worst=%v epochs=%d findings=%d incidents=%d halted=%d\n",
 		r.AggregatePause.Round(time.Microsecond), r.WorstPause.Round(time.Microsecond),
 		r.TotalEpochs, r.TotalFindings, r.TotalIncidents, r.HaltedVMs)
-	// The scan-cache line appears only when the cache did work, so the
-	// default (cache-off) report is unchanged.
-	if r.ScanCache != (cost.ScanCacheCounts{}) {
-		sc := r.ScanCache
-		rate := 0.0
-		if reads := sc.CacheHits + sc.CacheMisses; reads > 0 {
-			rate = 100 * float64(sc.CacheHits) / float64(reads)
-		}
-		fmt.Fprintf(&b, "scan cache: hits=%d misses=%d (%.1f%% hit) unmaps=%d swept=%d memo=%d/%d live=%d pages\n",
-			sc.CacheHits, sc.CacheMisses, rate, sc.CacheUnmaps, sc.CacheSwept,
-			sc.MemoHits, sc.MemoHits+sc.MemoMisses, r.ScanCachePages)
-	}
-	// Likewise the CoW line: absent unless CoW commits did work.
-	if r.CoW != (cost.CoWCounts{}) {
-		fmt.Fprintf(&b, "cow: armed=%d write_faults=%d drained=%d\n",
-			r.CoW.ArmedPages, r.CoW.WriteFaults, r.CoW.DrainPages)
-	}
-	// And the replication line: absent unless the v2 conduit shipped.
-	if r.Replication != (cost.ReplicationCounts{}) {
-		rp := r.Replication
-		fmt.Fprintf(&b, "replication: wire=%d raw=%d (%.1f%% cut) pages raw=%d delta=%d same=%d dup=%d zero=%d\n",
-			rp.WireBytes, rp.RawBytes, 100*rp.Reduction(),
-			rp.RawPages, rp.DeltaPages, rp.SamePages, rp.DupPages, rp.ZeroPages)
-	}
+	// One line per mode that did work, so the default report is
+	// unchanged.
+	b.WriteString(r.Summary(strconv.Itoa(r.ScanCachePages)))
 	return b.String()
 }
 

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/cost"
 	"repro/internal/fault"
 	"repro/internal/mem"
 )
@@ -134,24 +135,9 @@ type MemEvent struct {
 	Data   []byte // the bytes written, for write events
 }
 
-// Hypercalls counts the hypervisor operations a client performed, so
-// experiments can price them with a cost model.
-type Hypercalls struct {
-	MapPage     int // per-page foreign map operations
-	UnmapPage   int // per-page unmap operations
-	Translate   int // PFN-to-MFN translation lookups via hypercall
-	DirtyRead   int // dirty-bitmap harvest hypercalls
-	EventConfig int // memory-event (un)watch configuration calls
-}
-
-// Add accumulates another counter set into h.
-func (h *Hypercalls) Add(o Hypercalls) {
-	h.MapPage += o.MapPage
-	h.UnmapPage += o.UnmapPage
-	h.Translate += o.Translate
-	h.DirtyRead += o.DirtyRead
-	h.EventConfig += o.EventConfig
-}
+// Hypercalls counts the hypervisor operations a client performed; the
+// counter set is defined in package cost.
+type Hypercalls = cost.Hypercalls
 
 // Hypervisor owns machine memory and the domains running on a host. It
 // is safe for concurrent use by fleet workers driving different

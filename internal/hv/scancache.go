@@ -44,25 +44,6 @@ func (s ScanCacheStats) Sub(o ScanCacheStats) ScanCacheStats {
 	}
 }
 
-// Add accumulates another counter set into s.
-func (s *ScanCacheStats) Add(o ScanCacheStats) {
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Evictions += o.Evictions
-	s.Invalidations += o.Invalidations
-	s.Swept += o.Swept
-	s.Unmaps += o.Unmaps
-}
-
-// HitRate reports hits / (hits + misses), or 0 before any access.
-func (s ScanCacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // CachedMapping is the scan path's page-mapping cache: a bounded LRU of
 // foreign mappings kept alive across epochs, the moral equivalent of
 // LibVMI's page cache. A hit reuses a live mapping for zero hypercalls;

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/cost"
 )
 
 // TestHistogramBucketing drives the fixed-bucket histogram through
@@ -193,7 +195,7 @@ func TestJSONLSinkRoundTrip(t *testing.T) {
 	tr.Emit(Event{VM: "vm0", Epoch: 1, Phase: PhaseRun, DurNs: 100})
 	tr.Emit(Event{VM: "vm0", Epoch: 1, Phase: PhasePause, Pages: 12})
 	tr.Emit(Event{VM: "vm0", Epoch: 1, Phase: PhaseCommit,
-		Hypercalls: &Hypercalls{DirtyRead: 1, Translate: 4}})
+		Hypercalls: &cost.Hypercalls{DirtyRead: 1, Translate: 4}})
 	if err := sink.Err(); err != nil {
 		t.Fatalf("sink error: %v", err)
 	}

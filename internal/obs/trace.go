@@ -3,19 +3,24 @@
 // pluggable sink) and a metrics registry (counters, gauges, fixed-
 // bucket histograms) with a deterministic Prometheus-format text dump.
 //
-// The package depends only on the standard library so every layer of
-// the system — hypervisor substrate, checkpointer, replication conduit,
-// controller, fleet scheduler — can be instrumented without import
-// cycles. All entry points are nil-safe: a nil *Observer, *Tracer,
-// *Registry, or metric handle is an inert no-op, so instrumented code
-// pays a single nil check when observability is disabled and the
-// cost-model outputs are untouched.
+// The package depends only on the standard library and on the leaf
+// package cost, whose counter sets the trace events carry, so every
+// layer of the system — hypervisor substrate, checkpointer, replication
+// conduit, controller, fleet scheduler — can be instrumented without
+// import cycles. cost must therefore stay standard-library-only.
+//
+// All entry points are nil-safe: a nil *Observer, *Tracer, *Registry,
+// or metric handle is an inert no-op, so instrumented code pays a
+// single nil check when observability is disabled and the cost-model
+// outputs are untouched.
 package obs
 
 import (
 	"encoding/json"
 	"io"
 	"sync"
+
+	"repro/internal/cost"
 )
 
 // Phase names one step of the epoch lifecycle. The taxonomy mirrors the
@@ -47,61 +52,6 @@ const (
 	// DurNs carries the new epoch interval and Action the knob moved.
 	PhaseSLO Phase = "slo"
 )
-
-// Hypercalls is a per-event hypercall delta attribution. The fields
-// mirror hv.Hypercalls as plain ints so this package stays free of
-// intra-repo dependencies.
-type Hypercalls struct {
-	MapPage     int `json:"map_page,omitempty"`
-	UnmapPage   int `json:"unmap_page,omitempty"`
-	Translate   int `json:"translate,omitempty"`
-	DirtyRead   int `json:"dirty_read,omitempty"`
-	EventConfig int `json:"event_config,omitempty"`
-}
-
-// Total sums the counters.
-func (h Hypercalls) Total() int {
-	return h.MapPage + h.UnmapPage + h.Translate + h.DirtyRead + h.EventConfig
-}
-
-// IsZero reports whether every counter is zero.
-func (h Hypercalls) IsZero() bool { return h == Hypercalls{} }
-
-// ScanCache is a per-event scan-path cache delta: page-mapping cache
-// and walk-memo activity for one epoch's audit. Plain ints keep this
-// package dependency-free, mirroring Hypercalls.
-type ScanCache struct {
-	Hits       int `json:"hits,omitempty"`
-	Misses     int `json:"misses,omitempty"`
-	Unmaps     int `json:"unmaps,omitempty"`
-	Swept      int `json:"swept,omitempty"`
-	MemoHits   int `json:"memo_hits,omitempty"`
-	MemoMisses int `json:"memo_misses,omitempty"`
-}
-
-// CoW is a per-event copy-on-write commit delta: pages write-protected
-// at the commit, write faults taken on armed pages during the epoch,
-// and previously armed pages the background copier settled lazily.
-// Plain ints keep this package dependency-free, mirroring Hypercalls.
-type CoW struct {
-	Armed       int `json:"armed,omitempty"`
-	WriteFaults int `json:"write_faults,omitempty"`
-	Drained     int `json:"drained,omitempty"`
-}
-
-// Replication is a per-event delta-replication delta: wire bytes shipped
-// by the v2 conduit protocol this epoch against the raw-protocol bytes
-// the same pages would have cost, plus the per-opcode page mix. Plain
-// ints keep this package dependency-free, mirroring Hypercalls.
-type Replication struct {
-	WireBytes int64 `json:"wire_bytes,omitempty"`
-	RawBytes  int64 `json:"raw_bytes,omitempty"`
-	Raw       int   `json:"raw,omitempty"`
-	Delta     int   `json:"delta,omitempty"`
-	Same      int   `json:"same,omitempty"`
-	Dup       int   `json:"dup,omitempty"`
-	Zero      int   `json:"zero,omitempty"`
-}
 
 // Event is one trace record: a single phase of a single VM's epoch.
 // Virtual durations (run, rollback) are deterministic cost-model time;
@@ -146,16 +96,18 @@ type Event struct {
 	Err string `json:"err,omitempty"`
 	// Hypercalls is the epoch's per-VM hypercall delta, attached to the
 	// commit event.
-	Hypercalls *Hypercalls `json:"hypercalls,omitempty"`
+	Hypercalls *cost.Hypercalls `json:"hypercalls,omitempty"`
 	// ScanCache is the epoch's scan-path cache delta, attached to the
 	// scan event when the scan cache is enabled.
-	ScanCache *ScanCache `json:"scan_cache,omitempty"`
+	ScanCache *cost.ScanCacheCounts `json:"scan_cache,omitempty"`
 	// CoW is the epoch's copy-on-write commit delta, attached to the
 	// commit event when CoW checkpointing is enabled.
-	CoW *CoW `json:"cow,omitempty"`
-	// Repl is the epoch's delta-replication delta, attached to the
-	// commit event when the v2 conduit protocol is enabled.
-	Repl *Replication `json:"repl,omitempty"`
+	CoW *cost.CoWCounts `json:"cow,omitempty"`
+	// Repl is the epoch's delta-replication delta across the local and
+	// remote conduits, attached to the commit event when the v2 conduit
+	// shipped anything. Its keys are cost.ReplicationCounts' Go field
+	// names, the same encoding BENCH_remus.json uses.
+	Repl *cost.ReplicationCounts `json:"repl,omitempty"`
 }
 
 // Sink receives trace events. Implementations must be safe for

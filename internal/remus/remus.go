@@ -18,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cost"
 	"repro/internal/hv"
 	"repro/internal/mem"
 	"repro/internal/obs"
@@ -56,7 +57,7 @@ type Conduit struct {
 	mode     Mode
 	table    *versionTable
 	deltaBuf []byte
-	stats    StreamStats
+	stats    cost.ReplicationCounts
 
 	// mu guards the send side (conn, enc, sendBuf, table, stats,
 	// closed); ackMu serializes ack reads. They are separate so a

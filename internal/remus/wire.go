@@ -21,6 +21,7 @@ import (
 	"io"
 	"net"
 
+	"repro/internal/cost"
 	"repro/internal/mem"
 )
 
@@ -234,58 +235,11 @@ func applyDelta(page, delta []byte) error {
 	return nil
 }
 
-// StreamStats is a conduit's cumulative v2 wire accounting. RawBytes is
-// what the v1 protocol would have shipped for the same batches, so
-// RawBytes-WireBytes is the protocol's saving. All fields stay zero on
-// a ModeRaw conduit.
-type StreamStats struct {
-	Batches      int   // checkpoint batches sent
-	Pages        int   // pages carried (hashed) across all batches
-	RawPages     int   // pages shipped as full raw records
-	DeltaPages   int   // pages shipped as XOR deltas
-	SamePages    int   // pages elided: unchanged since last ship
-	DupPages     int   // pages shipped as cross-page duplicate references
-	ZeroPages    int   // pages shipped as zero-page references
-	EncodedPages int   // pages run through the XOR encoder (deltas + raw fallbacks)
-	WireBytes    int64 // bytes actually written to the wire
-	RawBytes     int64 // bytes the v1 raw protocol would have written
-}
-
-// Sub returns s minus o, for deriving one epoch's traffic from two
-// cumulative snapshots.
-func (s StreamStats) Sub(o StreamStats) StreamStats {
-	return StreamStats{
-		Batches:      s.Batches - o.Batches,
-		Pages:        s.Pages - o.Pages,
-		RawPages:     s.RawPages - o.RawPages,
-		DeltaPages:   s.DeltaPages - o.DeltaPages,
-		SamePages:    s.SamePages - o.SamePages,
-		DupPages:     s.DupPages - o.DupPages,
-		ZeroPages:    s.ZeroPages - o.ZeroPages,
-		EncodedPages: s.EncodedPages - o.EncodedPages,
-		WireBytes:    s.WireBytes - o.WireBytes,
-		RawBytes:     s.RawBytes - o.RawBytes,
-	}
-}
-
-func (s *StreamStats) add(o StreamStats) {
-	s.Batches += o.Batches
-	s.Pages += o.Pages
-	s.RawPages += o.RawPages
-	s.DeltaPages += o.DeltaPages
-	s.SamePages += o.SamePages
-	s.DupPages += o.DupPages
-	s.ZeroPages += o.ZeroPages
-	s.EncodedPages += o.EncodedPages
-	s.WireBytes += o.WireBytes
-	s.RawBytes += o.RawBytes
-}
-
-// Stats returns a snapshot of the conduit's cumulative wire accounting.
-// Nil-safe; a ModeRaw conduit always reports zeroes.
-func (c *Conduit) Stats() StreamStats {
+// Stats returns a snapshot of the conduit's cumulative v2 wire
+// accounting. Nil-safe; a ModeRaw conduit always reports zeroes.
+func (c *Conduit) Stats() cost.ReplicationCounts {
 	if c == nil {
-		return StreamStats{}
+		return cost.ReplicationCounts{}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -296,7 +250,7 @@ func (c *Conduit) Stats() StreamStats {
 func (c *Conduit) sendV2(pfns []mem.PFN, page func(mem.PFN) ([]byte, error)) error {
 	buf := append(c.sendBuf[:0], 0, 0, 0, 0)
 	binary.LittleEndian.PutUint32(buf[:4], uint32(len(pfns)))
-	var d StreamStats
+	var d cost.ReplicationCounts
 	for _, pfn := range pfns {
 		p, err := page(pfn)
 		if err != nil {
@@ -317,7 +271,7 @@ func (c *Conduit) sendV2(pfns []mem.PFN, page func(mem.PFN) ([]byte, error)) err
 	d.Pages = len(pfns)
 	d.WireBytes = int64(len(buf))
 	d.RawBytes = int64(4 + len(pfns)*(8+mem.PageSize))
-	c.stats.add(d)
+	c.stats.Add(d)
 	c.trimSendBuf(len(buf))
 	return nil
 }
@@ -325,7 +279,7 @@ func (c *Conduit) sendV2(pfns []mem.PFN, page func(mem.PFN) ([]byte, error)) err
 // encodePage appends one page's record (opcode + payload; the PFN is
 // already written) and updates the shipped-version table so the entry
 // matches what the backup will hold once this batch is applied.
-func (c *Conduit) encodePage(buf []byte, pfn mem.PFN, p []byte, d *StreamStats) []byte {
+func (c *Conduit) encodePage(buf []byte, pfn mem.PFN, p []byte, d *cost.ReplicationCounts) []byte {
 	h := hashPage(p)
 	if c.mode == ModeDeltaDedup {
 		if e := c.table.lookup(pfn); e != nil && e.hash == h && bytes.Equal(e.data, p) {

@@ -19,22 +19,6 @@ type MemoStats struct {
 	Invalidated int
 }
 
-// Sub returns the per-interval delta s - o.
-func (s MemoStats) Sub(o MemoStats) MemoStats {
-	return MemoStats{
-		Hits:        s.Hits - o.Hits,
-		Misses:      s.Misses - o.Misses,
-		Invalidated: s.Invalidated - o.Invalidated,
-	}
-}
-
-// Add accumulates another counter set into s.
-func (s *MemoStats) Add(o MemoStats) {
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Invalidated += o.Invalidated
-}
-
 // memoEntry is one memoized walk result plus the guest pages the walk
 // read. The entry stays valid exactly until one of those pages is
 // dirtied: a kernel list cannot change without writing a page the walk

@@ -105,7 +105,7 @@ func runRemusArm(t *testing.T, seed int64, cfg Config, script []propOp, attack s
 		run.epochs = append(run.epochs, remusEpochOutcome{
 			findings: res.Findings,
 			incident: res.Incident != nil,
-			repl:     res.Replication,
+			repl:     res.Counts.Repl(),
 			vtime:    res.VirtualTime,
 		})
 		if res.Incident != nil {
