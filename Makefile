@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: build test verify verify-quick bench bench-all pause-json bench-fleet \
 	bench-scan bench-cow bench-remus bench-cluster bench-web fmt-check \
-	static-check ci bench-drift scenarios
+	static-check ci bench-drift scenarios test-cpus
 
 build:
 	$(GO) build ./...
@@ -26,7 +26,7 @@ verify: build
 # faults live. Each mode's run greps for its trace object and metric
 # series, so a mode whose counters stop reaching the trace or the
 # metrics dump fails here.
-verify-quick:
+verify-quick: test-cpus
 	$(GO) test -race ./internal/checkpoint ./internal/detect ./internal/core ./internal/hv ./internal/fleet ./internal/cluster ./internal/obs
 	$(GO) run -race ./cmd/crimes -vms 3 -stagger -epochs 2 \
 		-trace /tmp/crimes-verify-trace.jsonl -metrics /tmp/crimes-verify-metrics.txt >/dev/null
@@ -45,6 +45,13 @@ verify-quick:
 		-trace /tmp/crimes-verify-trace-cluster.jsonl -metrics /tmp/crimes-verify-metrics-cluster.txt >/dev/null
 	$(GO) run -race ./cmd/crimes -vms 8 -stagger -epochs 4 -slo 2500us \
 		-trace /tmp/crimes-verify-trace-slo.jsonl -metrics /tmp/crimes-verify-metrics-slo.txt >/dev/null
+
+# Core-count sweep: the packages whose paths depend on GOMAXPROCS (the
+# default Workers, the pipelined remote ship, the fleet and cluster
+# schedulers) run under the race detector at 1, 2 and 8 Ps, so a result
+# that moves with the core count or the scheduler fails on every push.
+test-cpus:
+	$(GO) test -race -cpu 1,2,8 ./internal/core ./internal/checkpoint ./internal/fleet ./internal/cluster
 
 # gofmt gate: fail listing any file that is not gofmt-clean.
 fmt-check:
@@ -83,6 +90,7 @@ ci: fmt-check static-check build
 	$(GO) vet ./...
 	$(GO) test -shuffle=on ./...
 	$(GO) test -race ./...
+	$(MAKE) test-cpus
 	$(MAKE) scenarios
 	$(MAKE) bench-drift
 

@@ -492,7 +492,7 @@ func parseFault(spec string) (*crimes.FaultInjector, error) {
 }
 
 // reportCommit prints the commit's measured parallel phase timings and
-// the pipelined remote-replication window state. The serial path (one
+// the pipelined remote shipment's state. The serial path (one
 // worker, no remote activity) prints nothing, keeping the default
 // output identical to previous releases.
 func reportCommit(rep crimes.CommitReport) {

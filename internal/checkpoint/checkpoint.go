@@ -40,13 +40,6 @@ const FaultCopyPage = "checkpoint.copypage"
 // remote checkpoint ships before replication degrades to local-only.
 const maxRemoteRetries = 3
 
-// maxShipsInFlight bounds the pipelined remote-replication window: at
-// most this many checkpoints may be enqueued behind the resumed guest
-// awaiting the remote backup's acknowledgement. When the window is
-// full the next commit blocks until the oldest shipment drains, so an
-// unreachable remote applies backpressure instead of unbounded queueing.
-const maxShipsInFlight = 2
-
 // Checkpointer keeps a backup domain synchronized with a primary by
 // copying dirty pages at every epoch boundary. The backup is always the
 // most recent clean snapshot (the paper keeps it on the local host for
@@ -66,8 +59,8 @@ type Checkpointer struct {
 	// workers is the pause-path parallelism: the dirty-bitmap scan,
 	// undo capture, and page copy shard across this many goroutines
 	// over disjoint PFN ranges, the disk-block copy overlaps the memory
-	// copy, and remote replication is pipelined out of the pause window
-	// entirely. workers == 1 is the exact serial path.
+	// copy, and the remote ship runs behind the resumed guest.
+	// workers == 1 is the exact serial path.
 	workers int
 
 	dirty   *mem.Bitmap
@@ -105,15 +98,15 @@ type Checkpointer struct {
 	remoteHV      *hv.Hypervisor
 
 	// Pipelined remote shipping (workers > 1): the ship is
-	// availability-only, so it leaves the pause window — committed page
-	// data is snapshotted from the backup and handed to a shipper
-	// goroutine, acks drain at the next epoch boundary, and a bounded
-	// in-flight window applies backpressure.
-	shipCh   chan shipment
-	shipRes  chan shipResult
-	shipDone chan struct{}
-	inFlight int
-	shipErr  error
+	// availability-only, so it leaves the pause window. At most one
+	// shipment is in flight: ship is its one-slot result channel (nil
+	// when none), awaited by the next commit, Close, DetachRemote or
+	// DisableRemoteReplication. shipPFNs and shipData hold its snapshot
+	// of the committed pages; they are reused every epoch, grown on
+	// demand up to the VM's size.
+	ship     chan shipResult
+	shipPFNs []mem.PFN
+	shipData []byte
 
 	// Undo log: the backup pages/blocks about to be overwritten by the
 	// current commit, captured so a mid-commit failure can be unwound
@@ -142,7 +135,7 @@ type Checkpointer struct {
 // nil (inert) without a metrics registry.
 type ckptMetrics struct {
 	scanNs, undoNs, memcopyNs, diskcopyNs, shipNs *obs.Histogram
-	inFlight                                      *obs.Gauge
+	inflight                                      *obs.Gauge
 	acked, retries, degraded                      *obs.Counter
 }
 
@@ -165,7 +158,7 @@ func (c *Checkpointer) SetObserver(o *obs.Observer, vm string) {
 		memcopyNs:  phaseHist("memcopy"),
 		diskcopyNs: phaseHist("diskcopy"),
 		shipNs:     phaseHist("remoteship"),
-		inFlight:   reg.Gauge("crimes_remote_inflight", "vm", vm),
+		inflight:   reg.Gauge("crimes_remote_inflight", "vm", vm),
 		acked:      reg.Counter("crimes_remote_acked_total", "vm", vm),
 		retries:    reg.Counter("crimes_remote_ship_retries_total", "vm", vm),
 		degraded:   reg.Counter("crimes_remote_degraded_total", "vm", vm),
@@ -187,7 +180,7 @@ func (c *Checkpointer) observeCommit() {
 	if t.RemoteShip > 0 {
 		c.met.shipNs.ObserveDuration(int64(t.RemoteShip))
 	}
-	c.met.inFlight.Set(int64(c.inFlight))
+	c.met.inflight.Set(int64(c.report.RemoteInFlight))
 	c.met.acked.Add(int64(c.report.RemoteAcked))
 	c.met.retries.Add(int64(c.report.RemoteRetries))
 }
@@ -195,9 +188,9 @@ func (c *Checkpointer) observeCommit() {
 // CommitReport describes the recovery events and measured phase
 // timings of the most recent checkpoint commit attempt.
 type CommitReport struct {
-	// RemoteRetries counts transient remote-ship failures retried
-	// during the commit (including retries inside the pipelined
-	// shipper, folded in when its result drains).
+	// RemoteRetries counts transient remote-ship failures retried by
+	// the shipment this commit reported: its own serial ship, or the
+	// pipelined shipment it awaited.
 	RemoteRetries int
 	// RemoteDegraded is true when remote replication was disabled
 	// during the commit after a persistent failure.
@@ -206,12 +199,11 @@ type CommitReport struct {
 	Warnings []string
 	// Timings are the real wall-clock durations of the commit's phases.
 	Timings PhaseTimings
-	// RemoteInFlight is the number of pipelined remote shipments still
-	// awaiting acknowledgement when the commit returned.
+	// RemoteInFlight is 1 when the commit left a pipelined shipment in
+	// flight behind the resumed guest, else 0.
 	RemoteInFlight int
-	// RemoteAcked counts pipelined shipments whose acknowledgements
-	// drained during this commit (at the epoch boundary or under
-	// window backpressure).
+	// RemoteAcked is 1 when the commit awaited a pipelined shipment and
+	// the remote backup acknowledged it, else 0.
 	RemoteAcked int
 }
 
@@ -233,8 +225,9 @@ type PhaseTimings struct {
 	// workers > 1 it overlaps MemCopy.
 	DiskCopy time.Duration
 	// RemoteShip is the remote-replication time spent inside the
-	// commit: the full encrypted round trip when serial, only the
-	// snapshot/enqueue (plus any window backpressure) when pipelined.
+	// commit: the full encrypted round trip when serial; when
+	// pipelined, the wait for the previous shipment plus this one's
+	// snapshot.
 	RemoteShip time.Duration
 }
 
@@ -260,8 +253,8 @@ type Params struct {
 // backup domain (doubling the VM's memory cost, §3.3), and performs the
 // initial full synchronization. With p.Workers > 1 the pause path runs
 // in parallel: scan, undo capture, and page copy shard across the
-// workers, the disk copy overlaps the memory copy, and remote
-// replication (when enabled) is pipelined out of the pause window.
+// workers, the disk copy overlaps the memory copy, and the remote ship
+// (when enabled) runs behind the resumed guest.
 // Workers <= 1 is the exact serial path.
 func New(h *hv.Hypervisor, primary *hv.Domain, p Params) (*Checkpointer, error) {
 	if p.Workers < 1 {
@@ -420,9 +413,9 @@ func (c *Checkpointer) TamperRemoteWire(offset int, mask byte) error {
 func (c *Checkpointer) RemoteHV() *hv.Hypervisor { return c.remoteHV }
 
 // DetachRemote settles the replication session and hands the remote
-// backup domain to the caller, which takes ownership. Outstanding
-// pipelined shipments are drained first — bytes already on the wire
-// land — so the returned domain holds exactly the last committed,
+// backup domain to the caller, which takes ownership. A pipelined
+// shipment still in flight is awaited first — bytes already on the
+// wire land — so the returned domain holds exactly the last committed,
 // acknowledged checkpoint. This is the promotion hook: after the
 // primary's host dies, the cluster adopts the returned replica as the
 // VM's new primary. An error means the session could not be settled
@@ -431,9 +424,8 @@ func (c *Checkpointer) DetachRemote() (*hv.Domain, error) {
 	if c.remote == nil {
 		return nil, errors.New("checkpoint: no remote replication session")
 	}
-	if err := c.stopShipper(); err != nil {
-		c.degradeRemote(err)
-		return nil, fmt.Errorf("checkpoint: detach remote: drain shipper: %w", err)
+	if _, err := c.awaitShip(); err != nil {
+		return nil, fmt.Errorf("checkpoint: detach remote: shipment in flight: %w", err)
 	}
 	dom := c.remote
 	conduit := c.remoteConduit
@@ -448,16 +440,20 @@ func (c *Checkpointer) DetachRemote() (*hv.Domain, error) {
 // closed, replica domain destroyed — without recording a degradation.
 // The cluster uses it when the host holding a VM's replica dies and a
 // fresh replica must be re-armed elsewhere; the destroy on the dead
-// host's hypervisor is bookkeeping only.
+// host's hypervisor is bookkeeping only. A pipelined shipment still in
+// flight is awaited first; if it failed, the session is already torn
+// down as a degradation and its error is returned.
 func (c *Checkpointer) DisableRemoteReplication() error {
 	if c.remote == nil {
 		return nil
 	}
-	shipErr := c.stopShipper()
+	if _, err := c.awaitShip(); err != nil {
+		return err
+	}
 	closeErr := c.remoteConduit.Close()
 	destroyErr := c.remoteHV.DestroyDomain(c.remote.ID())
 	c.remote, c.remoteConduit, c.remoteHV = nil, nil, nil
-	return errors.Join(shipErr, closeErr, destroyErr)
+	return errors.Join(closeErr, destroyErr)
 }
 
 func (c *Checkpointer) shipRemote(dirty []mem.PFN) error {
@@ -599,29 +595,17 @@ func (c *Checkpointer) CheckpointBitmap(dirty *mem.Bitmap) (cost.Counts, error) 
 	return c.checkpointDirty()
 }
 
-// checkpointDirty commits the harvested dirty set. In the delta wire
-// modes it brackets the commit with conduit-stats snapshots so the
-// returned counts carry this epoch's replication traffic; raw mode adds
-// no bookkeeping to the seed path. Pipelined remote shipments that
-// complete after the commit returns are picked up by a later epoch's
-// delta (the cumulative totals stay exact).
+// checkpointDirty commits the harvested dirty set and attaches the
+// local conduit's wire traffic for the epoch (zero unless the No-opt
+// socket path runs a delta wire mode). The remote conduit's traffic is
+// attached by replicateRemote, per shipment.
 func (c *Checkpointer) checkpointDirty() (cost.Counts, error) {
-	if c.remusMode == remus.ModeRaw {
-		return c.commitDirty()
-	}
-	// Hold the conduit pointers: a mid-commit degradation nils
-	// c.remoteConduit, but the traffic it carried this epoch still
-	// counts (Stats stays readable on a closed conduit).
-	local, remote := c.conduit, c.remoteConduit
-	localBase := local.Stats()
-	remoteBase := remote.Stats()
+	base := c.conduit.Stats()
 	counts, err := c.commitDirty()
-	if err != nil {
-		return counts, err
+	if err == nil {
+		counts.LocalRepl = c.conduit.Stats().Sub(base)
 	}
-	counts.LocalRepl = local.Stats().Sub(localBase)
-	counts.RemoteRepl = remote.Stats().Sub(remoteBase)
-	return counts, nil
+	return counts, err
 }
 
 func (c *Checkpointer) commitDirty() (cost.Counts, error) {
@@ -639,25 +623,6 @@ func (c *Checkpointer) commitDirty() (cost.Counts, error) {
 		if err := c.quiesceCoW(); err != nil {
 			_ = c.primary.MergeDirty(c.dirty)
 			return cost.Counts{}, fmt.Errorf("checkpoint: cow convergence: %w", err)
-		}
-	}
-
-	// Epoch boundary: drain acknowledgements of previously pipelined
-	// remote shipments without blocking; a persistent ship failure
-	// surfaces here and degrades replication to local-only before this
-	// commit does any remote work.
-	if c.shipCh != nil {
-		c.drainShipResults(false)
-		if c.shipErr != nil {
-			err := c.shipErr
-			c.shipErr = nil
-			// Stopping drains the rest of the window; a second in-flight
-			// failure surfacing there is folded into this degradation
-			// rather than left parked for a future commit to trip over.
-			if e2 := c.stopShipper(); e2 != nil && err == nil {
-				err = e2
-			}
-			c.degradeRemote(err)
 		}
 	}
 
@@ -770,28 +735,7 @@ func (c *Checkpointer) commitDirty() (cost.Counts, error) {
 		counts.DiskBlocks = len(diskDirty)
 		counts.BytesCopied += len(diskDirty) * vdisk.BlockSize
 	}
-	if c.remote != nil {
-		// Remote replication is an availability add-on (§4.1): it must
-		// never fail the security-critical local commit. Serial mode
-		// ships inside the commit (transient failures retried, a
-		// persistent failure downgrades to local-only); parallel mode
-		// pipelines the ship behind the resumed guest and only pays the
-		// committed-page snapshot plus any window backpressure here.
-		shipStart := time.Now()
-		if c.workers > 1 {
-			if c.enqueueShipment(dirty) {
-				counts.RemotePages = len(dirty)
-			}
-		} else {
-			if err := c.shipRemoteRetry(dirty); err != nil {
-				c.degradeRemote(err)
-			} else {
-				counts.RemotePages = len(dirty)
-			}
-		}
-		c.report.Timings.RemoteShip = time.Since(shipStart)
-	}
-	c.report.RemoteInFlight = c.inFlight
+	c.replicateRemote(dirty, &counts)
 	return counts, nil
 }
 
@@ -870,25 +814,9 @@ func (c *Checkpointer) applyDiskUndo(diskDirty []mem.PFN) {
 	}
 }
 
-// shipRemoteRetry ships dirty pages to the remote backup, retrying
-// transient conduit failures up to maxRemoteRetries times.
-func (c *Checkpointer) shipRemoteRetry(dirty []mem.PFN) error {
-	for retries := 0; ; retries++ {
-		err := c.shipRemote(dirty)
-		if err == nil {
-			return nil
-		}
-		if !fault.IsTransient(err) || retries >= maxRemoteRetries {
-			return err
-		}
-		c.report.RemoteRetries++
-	}
-}
-
 // degradeRemote disables remote replication after a persistent ship
 // failure: the conduit is closed, the remote domain destroyed, and the
-// downgrade recorded, so local security checkpointing continues. In
-// pipelined mode the caller stops the shipper first.
+// downgrade recorded, so local security checkpointing continues.
 func (c *Checkpointer) degradeRemote(cause error) {
 	_ = c.remoteConduit.Close()
 	_ = c.remoteHV.DestroyDomain(c.remote.ID())
@@ -899,49 +827,105 @@ func (c *Checkpointer) degradeRemote(cause error) {
 		fmt.Sprintf("remote replication disabled, continuing local-only: %v", cause))
 }
 
-// shipment is one committed checkpoint queued for pipelined remote
-// replication: the dirty PFNs plus a snapshot of their committed
-// contents, taken from the backup domain so the resumed (and again
-// mutating) primary cannot tear the data mid-ship.
-type shipment struct {
-	pfns []mem.PFN
-	data []byte // len(pfns) * mem.PageSize
-}
-
-// shipResult is the shipper goroutine's outcome for one shipment.
+// shipResult is one remote shipment's outcome: the transient failures
+// retried, the wire traffic of every attempt, and the final error.
 type shipResult struct {
-	err     error
 	retries int
+	wire    cost.ReplicationCounts
+	err     error
 }
 
-// enqueueShipment snapshots the committed pages from the backup and
-// hands them to the shipper goroutine, blocking only when the in-flight
-// window is full. It reports whether the shipment was enqueued; false
-// means replication degraded while draining the window.
-func (c *Checkpointer) enqueueShipment(dirty []mem.PFN) bool {
-	if c.shipCh == nil {
-		c.shipCh = make(chan shipment, maxShipsInFlight)
-		c.shipRes = make(chan shipResult, maxShipsInFlight+1)
-		c.shipDone = make(chan struct{})
-		go c.shipper(c.remoteConduit, c.shipCh, c.shipRes, c.shipDone)
+// sendRemote runs one shipment's send-and-ack over conduit, retrying
+// transient failures up to maxRemoteRetries times. The wire counts
+// span every attempt, so a failed shipment's traffic is still reported.
+func sendRemote(conduit *remus.Conduit, send func() error) shipResult {
+	base := conduit.Stats()
+	var res shipResult
+	for {
+		res.err = send()
+		if res.err == nil || !fault.IsTransient(res.err) || res.retries >= maxRemoteRetries {
+			break
+		}
+		res.retries++
 	}
-	if c.inFlight >= maxShipsInFlight {
-		// Window backpressure: wait for the oldest shipment to drain.
-		c.drainShipResults(true)
-		if c.shipErr != nil {
-			err := c.shipErr
-			c.shipErr = nil
-			if e2 := c.stopShipper(); e2 != nil && err == nil {
-				err = e2
-			}
-			c.degradeRemote(err)
-			return false
+	res.wire = conduit.Stats().Sub(base)
+	return res
+}
+
+// foldShip folds a finished shipment into the report: its retries and,
+// on a persistent failure, the downgrade to local-only. It reports
+// whether the shipment landed.
+func (c *Checkpointer) foldShip(res shipResult) bool {
+	c.report.RemoteRetries += res.retries
+	if res.err != nil {
+		c.degradeRemote(res.err)
+		return false
+	}
+	return true
+}
+
+// awaitShip waits for the pipelined shipment in flight, if any, and
+// folds its outcome into the report. It returns the shipment's wire
+// counts and error. A shipment's outcome is reported exactly once, by
+// the call that awaits it.
+func (c *Checkpointer) awaitShip() (cost.ReplicationCounts, error) {
+	if c.ship == nil {
+		return cost.ReplicationCounts{}, nil
+	}
+	res := <-c.ship
+	c.ship = nil
+	if c.foldShip(res) {
+		c.report.RemoteAcked = 1
+	}
+	return res.wire, res.err
+}
+
+// replicateRemote is the remote-replication step of a successful
+// commit. Remote replication is an availability add-on (§4.1): it never
+// fails the security-critical local commit. The previous commit's
+// pipelined shipment is awaited first, so its outcome and wire counts
+// land in this commit. Serial mode then ships inside the commit
+// (transient failures retried, a persistent failure downgrades to
+// local-only); parallel mode snapshots the committed pages and ships
+// them behind the resumed guest, for the next commit to await.
+func (c *Checkpointer) replicateRemote(dirty []mem.PFN, counts *cost.Counts) {
+	if c.remote == nil {
+		return
+	}
+	shipStart := time.Now()
+	counts.RemoteRepl, _ = c.awaitShip()
+	switch {
+	case c.remote == nil:
+		// The awaited shipment failed and replication degraded.
+	case c.workers > 1:
+		if c.startShip(dirty) {
+			counts.RemotePages = len(dirty)
+			c.report.RemoteInFlight = 1
+		}
+	default:
+		res := sendRemote(c.remoteConduit, func() error { return c.shipRemote(dirty) })
+		counts.RemoteRepl.Add(res.wire)
+		if c.foldShip(res) {
+			counts.RemotePages = len(dirty)
 		}
 	}
-	// The PFN list must be snapshotted along with the data: dirty
-	// aliases the checkpointer's reusable scratch slice, which the next
-	// epoch's scan overwrites while this shipment may still be in flight.
-	s := shipment{pfns: append([]mem.PFN(nil), dirty...), data: make([]byte, len(dirty)*mem.PageSize)}
+	c.report.Timings.RemoteShip = time.Since(shipStart)
+}
+
+// startShip snapshots the committed pages into the reusable shipment
+// buffers and ships them on a goroutine behind the resumed guest. The
+// snapshot must cover the PFN list too: dirty aliases the scan scratch
+// slice, which the next epoch overwrites. It reports whether the
+// shipment started; false means the snapshot failed and replication
+// degraded.
+func (c *Checkpointer) startShip(dirty []mem.PFN) bool {
+	pfns := append(c.shipPFNs[:0], dirty...)
+	need := len(dirty) * mem.PageSize
+	if cap(c.shipData) < need {
+		c.shipData = make([]byte, need)
+	}
+	data := c.shipData[:need]
+	c.shipPFNs, c.shipData = pfns, data
 	// Snapshot through the worker pool: the backup is immutable until
 	// the next commit, and shards write disjoint regions. Under CoW the
 	// backup is still converging toward this epoch, so the snapshot
@@ -951,10 +935,10 @@ func (c *Checkpointer) enqueueShipment(dirty []mem.PFN) bool {
 	if c.cow != nil {
 		src = c.primary
 	}
-	if err := c.runSharded(len(dirty), func(lo, hi int) error {
+	if err := c.runSharded(len(pfns), func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			off := i * mem.PageSize
-			if err := src.ReadPhys(uint64(dirty[i])*mem.PageSize, s.data[off:off+mem.PageSize]); err != nil {
+			if err := src.ReadPhys(uint64(pfns[i])*mem.PageSize, data[off:off+mem.PageSize]); err != nil {
 				return err
 			}
 		}
@@ -962,109 +946,23 @@ func (c *Checkpointer) enqueueShipment(dirty []mem.PFN) bool {
 	}); err != nil {
 		// Snapshot failure is local, not a conduit failure; degrade the
 		// same way rather than fail the already-committed epoch.
-		_ = c.stopShipper()
 		c.degradeRemote(fmt.Errorf("checkpoint: snapshot for remote ship: %w", err))
 		return false
 	}
-	c.shipCh <- s
-	c.inFlight++
-	return true
-}
-
-// shipper is the pipelined replication goroutine: it serializes,
-// encrypts, and sends each queued shipment and waits for the backup's
-// acknowledgement, overlapping all of it with the resumed guest's
-// execution. Transient conduit failures are retried in place; the
-// result (error and retry count) is reported for the committing
-// goroutine to drain at the next epoch boundary.
-func (c *Checkpointer) shipper(conduit *remus.Conduit, in <-chan shipment, out chan<- shipResult, done chan<- struct{}) {
-	defer close(done)
-	for s := range in {
-		var res shipResult
-		for {
-			err := shipSnapshot(conduit, s)
-			if err == nil {
-				break
-			}
-			if !fault.IsTransient(err) || res.retries >= maxRemoteRetries {
-				res.err = err
-				break
-			}
-			res.retries++
-		}
-		out <- res
-	}
-}
-
-// shipSnapshot sends one snapshotted shipment over the conduit and
-// waits for its ack.
-func shipSnapshot(conduit *remus.Conduit, s shipment) error {
-	if err := conduit.Send(s.pfns, func(pfn mem.PFN) ([]byte, error) {
-		i := sort.Search(len(s.pfns), func(i int) bool { return s.pfns[i] >= pfn })
-		if i >= len(s.pfns) || s.pfns[i] != pfn {
+	page := func(pfn mem.PFN) ([]byte, error) {
+		i := sort.Search(len(pfns), func(i int) bool { return pfns[i] >= pfn })
+		if i >= len(pfns) || pfns[i] != pfn {
 			return nil, fmt.Errorf("checkpoint: shipment missing pfn %d", pfn)
 		}
-		return s.data[i*mem.PageSize : (i+1)*mem.PageSize], nil
-	}); err != nil {
-		return err
+		return data[i*mem.PageSize : (i+1)*mem.PageSize], nil
 	}
-	return conduit.AwaitAck()
-}
-
-// drainShipResults folds completed shipper results into the report.
-// With block set it waits for at least one outstanding result; it then
-// keeps consuming whatever has already completed without blocking. The
-// first persistent failure is parked in c.shipErr for the caller to
-// turn into a degradation.
-func (c *Checkpointer) drainShipResults(block bool) {
-	for c.inFlight > 0 {
-		if block {
-			res := <-c.shipRes
-			c.noteShipResult(res)
-			block = false
-			continue
-		}
-		select {
-		case res := <-c.shipRes:
-			c.noteShipResult(res)
-		default:
-			return
-		}
-	}
-}
-
-func (c *Checkpointer) noteShipResult(res shipResult) {
-	c.inFlight--
-	c.report.RemoteRetries += res.retries
-	if res.err != nil {
-		if c.shipErr == nil {
-			c.shipErr = res.err
-		}
-		return
-	}
-	c.report.RemoteAcked++
-}
-
-// stopShipper shuts the pipelined shipper down, draining every
-// outstanding acknowledgement first (shipRes is buffered to the window
-// size, so the shipper never blocks after its input closes). Any
-// failure drained while stopping is returned WITH c.shipErr cleared:
-// leaving it parked would make a dead shipper's error sticky, failing
-// commits long after replication already degraded — and tearing down a
-// healthy remote if replication is later re-enabled.
-func (c *Checkpointer) stopShipper() error {
-	if c.shipCh == nil {
-		return nil
-	}
-	close(c.shipCh)
-	for c.inFlight > 0 {
-		c.noteShipResult(<-c.shipRes)
-	}
-	<-c.shipDone
-	c.shipCh, c.shipRes, c.shipDone = nil, nil, nil
-	err := c.shipErr
-	c.shipErr = nil
-	return err
+	conduit := c.remoteConduit
+	ship := make(chan shipResult, 1)
+	c.ship = ship
+	go func() {
+		ship <- sendRemote(conduit, func() error { return conduit.SendCheckpoint(pfns, page) })
+	}()
+	return true
 }
 
 // copyPremapped copies dirty pages through the startup-time global
@@ -1167,8 +1065,9 @@ func (c *Checkpointer) Rollback() error {
 }
 
 // Close releases the conduits and mappings. The backup domain is left
-// intact for post-mortem use. Any pipelined remote shipments are drained
-// first so the remote backup converges to the last committed epoch.
+// intact for post-mortem use. A pipelined remote shipment still in
+// flight is awaited first so the remote backup converges to the last
+// committed epoch (a failure degrades replication).
 // Both conduits are always closed; their errors, if any, are joined.
 // Close is idempotent and safe to call concurrently: a second close —
 // serial or racing the first — is a no-op returning nil.
@@ -1188,11 +1087,7 @@ func (c *Checkpointer) Close() error {
 		_ = c.quiesceCoW()
 		c.primary.SetWriteFaultHandler(nil)
 	}
-	if err := c.stopShipper(); err != nil {
-		if c.remote != nil {
-			c.degradeRemote(err)
-		}
-	}
+	c.awaitShip()
 	if c.gmPrimary != nil {
 		c.gmPrimary.Unmap()
 		c.gmBackup.Unmap()

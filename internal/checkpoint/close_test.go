@@ -41,8 +41,8 @@ func TestCloseIdempotent(t *testing.T) {
 }
 
 // TestCloseIdempotentWithRemote covers the pipelined-replication close
-// path: the shipper drains once, and a double close does not touch the
-// already-released conduits.
+// path: the shipment in flight is awaited once, and a double close does
+// not touch the already-released conduits.
 func TestCloseIdempotentWithRemote(t *testing.T) {
 	h := hv.New(3*domPages + 16)
 	d, err := h.CreateDomain("vm", domPages)

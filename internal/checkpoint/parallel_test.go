@@ -169,9 +169,9 @@ func TestParallelWorkerFaultRestoresUndo(t *testing.T) {
 }
 
 // TestPipelinedRemoteConverges drives several epochs through the
-// pipelined remote-replication path and asserts the bounded window is
-// respected and that Close drains every in-flight shipment, leaving the
-// remote byte-identical to the backup.
+// pipelined remote-replication path and asserts at most one shipment is
+// ever in flight and that Close awaits it, leaving the remote
+// byte-identical to the backup.
 func TestPipelinedRemoteConverges(t *testing.T) {
 	h := hv.New(4*parallelTestPages + 8)
 	d, err := h.CreateDomain("vm", parallelTestPages)
@@ -196,14 +196,14 @@ func TestPipelinedRemoteConverges(t *testing.T) {
 			t.Fatalf("checkpoint %d: remote ship not enqueued", epoch)
 		}
 		rep := c.LastReport()
-		if rep.RemoteInFlight > maxShipsInFlight {
-			t.Fatalf("checkpoint %d: %d shipments in flight, window is %d",
-				epoch, rep.RemoteInFlight, maxShipsInFlight)
+		if rep.RemoteInFlight > 1 {
+			t.Fatalf("checkpoint %d: %d shipments in flight, want at most 1",
+				epoch, rep.RemoteInFlight)
 		}
 	}
 	remote := c.Remote()
 	backup := c.Backup()
-	// Close drains the pipelined window before closing the conduits.
+	// Close awaits the shipment in flight before closing the conduits.
 	if err := c.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -213,9 +213,9 @@ func TestPipelinedRemoteConverges(t *testing.T) {
 }
 
 // TestPipelinedRemoteDegradesDeterministically injects a fatal send
-// fault into the pipelined shipper and asserts replication degrades to
-// local-only at the next epoch boundary without failing any local
-// commit.
+// fault into a pipelined shipment and asserts replication degrades to
+// local-only at exactly the next commit, which awaits that shipment,
+// without failing any local commit.
 func TestPipelinedRemoteDegradesDeterministically(t *testing.T) {
 	h := hv.New(4*domPages + 8)
 	inj := fault.NewInjector()
@@ -235,7 +235,7 @@ func TestPipelinedRemoteDegradesDeterministically(t *testing.T) {
 	doms0 := h.DomainCount()
 	inj.FailNext(remus.FaultSend, 1, false)
 
-	// Checkpoint 1 enqueues the doomed shipment; the local commit must
+	// Checkpoint 1 starts the doomed shipment; the local commit must
 	// succeed regardless.
 	if err := d.WritePhys(0, []byte("epoch one")); err != nil {
 		t.Fatalf("WritePhys: %v", err)
@@ -243,20 +243,18 @@ func TestPipelinedRemoteDegradesDeterministically(t *testing.T) {
 	if _, err := c.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint 1: %v", err)
 	}
-	// By checkpoint 3 the boundary drain must have seen the failure and
-	// degraded (the failed result may still be in flight at boundary 2).
-	degraded := false
-	for i := 2; i <= 3 && !degraded; i++ {
-		if err := d.WritePhys(0, []byte{byte(i)}); err != nil {
-			t.Fatalf("WritePhys: %v", err)
-		}
-		if _, err := c.Checkpoint(); err != nil {
-			t.Fatalf("checkpoint %d: %v", i, err)
-		}
-		degraded = c.LastReport().RemoteDegraded
+	if c.LastReport().RemoteDegraded {
+		t.Fatal("checkpoint 1 degraded before its shipment was awaited")
 	}
-	if !degraded {
-		t.Fatal("persistent pipelined ship failure never degraded replication")
+	// Checkpoint 2 awaits the failed shipment and degrades.
+	if err := d.WritePhys(0, []byte("epoch two")); err != nil {
+		t.Fatalf("WritePhys: %v", err)
+	}
+	if _, err := c.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint 2: %v", err)
+	}
+	if rep := c.LastReport(); !rep.RemoteDegraded || rep.RemoteAcked != 0 {
+		t.Fatalf("checkpoint 2 report = %+v, want the awaited failure degraded", rep)
 	}
 	if c.Remote() != nil {
 		t.Fatal("remote still referenced after degradation")

@@ -9,12 +9,12 @@ import (
 	"repro/internal/remus"
 )
 
-// Regression test for the sticky ship-error bug: after replication
-// degraded, the first persistent failure stayed parked in c.shipErr and
-// the drain could leave the in-flight count nonzero, so a later
-// replication session was failed by an error from the previous one.
-// Degradation must consume the parked error, drain the window to zero,
-// and leave the checkpointer able to run a fresh, healthy session.
+// Regression test for the sticky ship-error bug: a failed pipelined
+// shipment's error once stayed parked after replication degraded, so a
+// later replication session was failed by an error from the previous
+// one. The awaiting commit must consume the failure, leave nothing in
+// flight, and leave the checkpointer able to run a fresh, healthy
+// session.
 func TestDegradedShipErrorNotSticky(t *testing.T) {
 	h := hv.New(4*domPages + 8)
 	inj := fault.NewInjector()
@@ -32,29 +32,22 @@ func TestDegradedShipErrorNotSticky(t *testing.T) {
 		t.Fatalf("EnableRemoteReplication: %v", err)
 	}
 
-	// Two consecutive persistent send failures: the first is parked in
-	// shipErr by the window drain, the second lands while the stop path
-	// drains the rest of the window — both results must decrement the
-	// in-flight count.
-	inj.FailNext(remus.FaultSend, 2, false)
-	degraded := false
-	for i := 1; i <= 5 && !degraded; i++ {
+	// Checkpoint 1's shipment fails persistently; checkpoint 2 awaits it
+	// and degrades.
+	inj.FailNext(remus.FaultSend, 1, false)
+	for i := 1; i <= 2; i++ {
 		if err := d.WritePhys(0, []byte{byte(i)}); err != nil {
 			t.Fatalf("WritePhys: %v", err)
 		}
 		if _, err := c.Checkpoint(); err != nil {
 			t.Fatalf("checkpoint %d: %v", i, err)
 		}
-		degraded = c.LastReport().RemoteDegraded
 	}
-	if !degraded {
-		t.Fatal("persistent ship failures never degraded replication")
+	if !c.LastReport().RemoteDegraded {
+		t.Fatalf("checkpoint 2 did not degrade: %+v", c.LastReport())
 	}
-	if c.shipErr != nil {
-		t.Fatalf("shipErr still parked after degradation: %v", c.shipErr)
-	}
-	if c.inFlight != 0 {
-		t.Fatalf("inFlight = %d after degradation, want 0", c.inFlight)
+	if c.ship != nil {
+		t.Fatal("shipment still in flight after degradation")
 	}
 
 	// A fresh replication session must not inherit the old failure.
@@ -70,11 +63,14 @@ func TestDegradedShipErrorNotSticky(t *testing.T) {
 			t.Fatalf("post-recovery checkpoint %d: %v", i, err)
 		}
 		if counts.RemotePages == 0 {
-			t.Fatalf("post-recovery checkpoint %d: remote ship not enqueued", i)
+			t.Fatalf("post-recovery checkpoint %d: remote ship not started", i)
 		}
-		if c.LastReport().RemoteDegraded {
-			t.Fatalf("post-recovery checkpoint %d degraded on a healthy conduit", i)
+		if rep := c.LastReport(); rep.RemoteDegraded || rep.RemoteRetries != 0 {
+			t.Fatalf("post-recovery checkpoint %d on a healthy conduit: %+v", i, rep)
 		}
+	}
+	if got := inj.Tripped(remus.FaultSend); got != 1 {
+		t.Fatalf("send faults tripped = %d, want 1", got)
 	}
 	remote, backup := c.Remote(), c.Backup()
 	if remote == nil {

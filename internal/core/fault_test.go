@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -46,23 +47,12 @@ func newFaultController(t *testing.T, cfg Config) (*Controller, *fault.Injector,
 // failure site and asserts the transactional guarantee: after any
 // injected fault the domain is Running again (recovered or degraded) or
 // deliberately halted with the halt reported, and the next RunEpoch
-// behaves correctly.
+// behaves correctly. Every case runs at Workers 1 and 4. A remote ship
+// fault fires in epoch 2's shipment; its outcome is reported by the
+// commit that awaits that shipment — epoch 2 itself when serial, epoch
+// 3 when pipelined.
 func TestFaultInjectedEpochs(t *testing.T) {
-	cases := []struct {
-		name      string
-		site      string
-		transient bool
-		disk      bool // attach a virtual disk
-		history   bool // retain checkpoint history
-		remote    bool // enable remote replication
-
-		wantErr     bool
-		wantUnwind  string
-		wantHalt    bool
-		wantRetries bool
-		wantDegrade bool
-		wantWarn    bool
-	}{
+	cases := []faultCase{
 		{name: "pause-fatal", site: hv.FaultPause, wantErr: true, wantUnwind: UnwindNone},
 		{name: "pause-transient", site: hv.FaultPause, transient: true, wantRetries: true},
 		{name: "suspend-fatal", site: hv.FaultSuspend, wantErr: true, wantUnwind: UnwindResume},
@@ -78,128 +68,174 @@ func TestFaultInjectedEpochs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{
-				EpochInterval: 20 * time.Millisecond,
-				Modules:       defaultModules(),
-			}
-			if tc.disk {
-				cfg.DiskBlocks = 16
-			}
-			if tc.history {
-				cfg.HistoryDepth = 2
-			}
-			ctl, inj, _ := newFaultController(t, cfg)
-			if tc.remote {
-				if err := ctl.Checkpointer().EnableRemoteReplication([]byte("0123456789abcdef")); err != nil {
-					t.Fatalf("EnableRemoteReplication: %v", err)
-				}
-			}
-
-			var pid uint32
-			var bufVA uint64
-			work := func(g *guestos.Guest) error {
-				if pid == 0 {
-					var err error
-					if pid, err = g.StartProcess("app", 0, 8); err != nil {
-						return err
-					}
-					if bufVA, err = g.Malloc(pid, 4*mem.PageSize); err != nil {
-						return err
-					}
-				}
-				// Dirty a few pages so every epoch's commit copies work.
-				for i := 0; i < 4; i++ {
-					if err := g.WriteUser(pid, bufVA+uint64(i*mem.PageSize), []byte{0xAB}); err != nil {
-						return err
-					}
-				}
-				if tc.disk {
-					if err := g.WriteBlock(pid, 1, 0, []byte{0xBE}); err != nil {
-						return err
-					}
-				}
-				return g.SendPacket(pid, [4]byte{10, 0, 0, 1}, 80, []byte("out"))
-			}
-
-			// Epoch 1: clean, establishes a committed checkpoint.
-			if _, err := ctl.RunEpoch(work); err != nil {
-				t.Fatalf("clean epoch: %v", err)
-			}
-
-			// Epoch 2: the injected fault.
-			inj.FailNext(tc.site, 1, tc.transient)
-			res, err := ctl.RunEpoch(work)
-			if inj.Tripped(tc.site) == 0 {
-				t.Fatalf("fault at %s never fired", tc.site)
-			}
-
-			if tc.wantErr {
-				if err == nil {
-					t.Fatalf("epoch with fatal fault at %s succeeded", tc.site)
-				}
-				if !fault.IsInjected(err) {
-					t.Fatalf("error lost the injected sentinel: %v", err)
-				}
-				if res == nil {
-					t.Fatal("no result returned alongside the epoch error")
-				}
-				if res.Recovery.Unwind != tc.wantUnwind {
-					t.Fatalf("Unwind = %q, want %q (err: %v)", res.Recovery.Unwind, tc.wantUnwind, err)
-				}
-			} else {
-				if err != nil {
-					t.Fatalf("epoch with recoverable fault at %s failed: %v", tc.site, err)
-				}
-				if tc.wantRetries && res.Recovery.Retries == 0 {
-					t.Fatalf("no retries recorded for transient fault; rec=%+v rep=%+v calls=%d tripped=%d",
-						res.Recovery, ctl.Checkpointer().LastReport(), inj.Calls(tc.site), inj.Tripped(tc.site))
-				}
-				if tc.wantDegrade {
-					if len(res.Recovery.Degradations) == 0 {
-						t.Fatalf("no degradation recorded: %+v", res.Recovery)
-					}
-					if ctl.Checkpointer().Remote() != nil {
-						t.Fatal("remote replication still enabled after degradation")
-					}
-				}
-				if tc.wantWarn && len(res.Recovery.Warnings) == 0 {
-					t.Fatalf("no warning recorded: %+v", res.Recovery)
-				}
-			}
-
-			// The core invariant: never a silently stranded domain.
-			state := ctl.Guest().Domain().State()
-			if tc.wantHalt {
-				if !ctl.Halted() {
-					t.Fatal("controller not halted after unrecoverable fault")
-				}
-				if state == hv.StateRunning {
-					t.Fatal("domain running despite deliberate halt")
-				}
-				if _, err := ctl.RunEpoch(nil); !errors.Is(err, ErrHalted) {
-					t.Fatalf("RunEpoch after halt: %v, want ErrHalted", err)
-				}
-				return
-			}
-			if ctl.Halted() {
-				t.Fatal("controller halted after recoverable fault")
-			}
-			if state != hv.StateRunning {
-				t.Fatalf("domain stranded in state %v after %s fault", state, tc.site)
-			}
-
-			// Epoch 3: the follow-up epoch must run cleanly.
-			res, err = ctl.RunEpoch(work)
-			if err != nil {
-				t.Fatalf("follow-up epoch after %s fault: %v", tc.site, err)
-			}
-			if res.Incident != nil {
-				t.Fatalf("follow-up epoch raised a spurious incident: %+v", res.Findings)
-			}
-			if !res.Recovery.Clean() {
-				t.Fatalf("follow-up epoch needed recovery: %+v", res.Recovery)
+			for _, workers := range []int{1, 4} {
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+					faultInjectedEpochs(t, tc, workers)
+				})
 			}
 		})
+	}
+}
+
+// faultCase is one row of TestFaultInjectedEpochs.
+type faultCase struct {
+	name      string
+	site      string
+	transient bool
+	disk      bool // attach a virtual disk
+	history   bool // retain checkpoint history
+	remote    bool // enable remote replication
+
+	wantErr     bool
+	wantUnwind  string
+	wantHalt    bool
+	wantRetries bool
+	wantDegrade bool
+	wantWarn    bool
+}
+
+func faultInjectedEpochs(t *testing.T, tc faultCase, workers int) {
+	cfg := Config{
+		EpochInterval: 20 * time.Millisecond,
+		Modules:       defaultModules(),
+		Workers:       workers,
+	}
+	if tc.disk {
+		cfg.DiskBlocks = 16
+	}
+	if tc.history {
+		cfg.HistoryDepth = 2
+	}
+	ctl, inj, _ := newFaultController(t, cfg)
+	if tc.remote {
+		if err := ctl.Checkpointer().EnableRemoteReplication([]byte("0123456789abcdef")); err != nil {
+			t.Fatalf("EnableRemoteReplication: %v", err)
+		}
+	}
+
+	var pid uint32
+	var bufVA uint64
+	work := func(g *guestos.Guest) error {
+		if pid == 0 {
+			var err error
+			if pid, err = g.StartProcess("app", 0, 8); err != nil {
+				return err
+			}
+			if bufVA, err = g.Malloc(pid, 4*mem.PageSize); err != nil {
+				return err
+			}
+		}
+		// Dirty a few pages so every epoch's commit copies work.
+		for i := 0; i < 4; i++ {
+			if err := g.WriteUser(pid, bufVA+uint64(i*mem.PageSize), []byte{0xAB}); err != nil {
+				return err
+			}
+		}
+		if tc.disk {
+			if err := g.WriteBlock(pid, 1, 0, []byte{0xBE}); err != nil {
+				return err
+			}
+		}
+		return g.SendPacket(pid, [4]byte{10, 0, 0, 1}, 80, []byte("out"))
+	}
+
+	// A remote ship fault targets epoch 2's shipment by occurrence:
+	// the initial remote sync was the last send and epoch 1's
+	// shipment is the next. Arming it while nothing is in flight
+	// keeps the schedule independent of when a pipelined shipment
+	// reaches its send.
+	if tc.remote {
+		inj.Fail(tc.site, inj.Calls(tc.site)+2, 1, tc.transient)
+	}
+
+	// Epoch 1: clean, establishes a committed checkpoint.
+	if _, err := ctl.RunEpoch(work); err != nil {
+		t.Fatalf("clean epoch: %v", err)
+	}
+
+	// Epoch 2: the injected fault.
+	if !tc.remote {
+		inj.FailNext(tc.site, 1, tc.transient)
+	}
+	res, err := ctl.RunEpoch(work)
+	if tc.remote && workers > 1 {
+		// The failing shipment runs behind the resumed guest:
+		// epoch 2 is clean, and epoch 3's commit awaits the
+		// shipment and reports its outcome.
+		if err != nil || !res.Recovery.Clean() {
+			t.Fatalf("epoch 2 reported before its shipment was awaited: err=%v rec=%+v", err, res.Recovery)
+		}
+		res, err = ctl.RunEpoch(work)
+	}
+	if got := inj.Tripped(tc.site); got != 1 {
+		t.Fatalf("fault at %s tripped %d times, want 1", tc.site, got)
+	}
+
+	if tc.wantErr {
+		if err == nil {
+			t.Fatalf("epoch with fatal fault at %s succeeded", tc.site)
+		}
+		if !fault.IsInjected(err) {
+			t.Fatalf("error lost the injected sentinel: %v", err)
+		}
+		if res == nil {
+			t.Fatal("no result returned alongside the epoch error")
+		}
+		if res.Recovery.Unwind != tc.wantUnwind {
+			t.Fatalf("Unwind = %q, want %q (err: %v)", res.Recovery.Unwind, tc.wantUnwind, err)
+		}
+	} else {
+		if err != nil {
+			t.Fatalf("epoch with recoverable fault at %s failed: %v", tc.site, err)
+		}
+		if tc.wantRetries && res.Recovery.Retries != 1 {
+			t.Fatalf("Retries = %d for one transient fault, want 1; rec=%+v rep=%+v",
+				res.Recovery.Retries, res.Recovery, ctl.Checkpointer().LastReport())
+		}
+		if tc.wantDegrade {
+			if len(res.Recovery.Degradations) != 1 {
+				t.Fatalf("Degradations = %d, want 1: %+v", len(res.Recovery.Degradations), res.Recovery)
+			}
+			if ctl.Checkpointer().Remote() != nil {
+				t.Fatal("remote replication still enabled after degradation")
+			}
+		}
+		if tc.wantWarn && len(res.Recovery.Warnings) == 0 {
+			t.Fatalf("no warning recorded: %+v", res.Recovery)
+		}
+	}
+
+	// The core invariant: never a silently stranded domain.
+	state := ctl.Guest().Domain().State()
+	if tc.wantHalt {
+		if !ctl.Halted() {
+			t.Fatal("controller not halted after unrecoverable fault")
+		}
+		if state == hv.StateRunning {
+			t.Fatal("domain running despite deliberate halt")
+		}
+		if _, err := ctl.RunEpoch(nil); !errors.Is(err, ErrHalted) {
+			t.Fatalf("RunEpoch after halt: %v, want ErrHalted", err)
+		}
+		return
+	}
+	if ctl.Halted() {
+		t.Fatal("controller halted after recoverable fault")
+	}
+	if state != hv.StateRunning {
+		t.Fatalf("domain stranded in state %v after %s fault", state, tc.site)
+	}
+
+	// The follow-up epoch must run cleanly.
+	res, err = ctl.RunEpoch(work)
+	if err != nil {
+		t.Fatalf("follow-up epoch after %s fault: %v", tc.site, err)
+	}
+	if res.Incident != nil {
+		t.Fatalf("follow-up epoch raised a spurious incident: %+v", res.Findings)
+	}
+	if !res.Recovery.Clean() {
+		t.Fatalf("follow-up epoch needed recovery: %+v", res.Recovery)
 	}
 }
 

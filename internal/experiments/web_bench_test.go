@@ -1,9 +1,16 @@
 package experiments
 
 import (
+	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// cachedWebSweep computes the web sweep once per test binary for the
+// tests that only read it: the sweep is deterministic virtual time, so
+// sharing one result changes no assertion.
+var cachedWebSweep = sync.OnceValues(WebSweep)
 
 // The web sweep measures ~200 full fleet replays per run; under the
 // race detector that multiplies past the package test timeout without
@@ -26,7 +33,7 @@ func skipUnderRace(t *testing.T) {
 // the scale the cohort generator exists to reach.
 func TestWebSweepAdaptiveBeatsStatics(t *testing.T) {
 	skipUnderRace(t)
-	bench, err := WebSweep()
+	bench, err := cachedWebSweep()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +73,7 @@ func TestWebSweepAdaptiveBeatsStatics(t *testing.T) {
 // row is just the baseline measured twice).
 func TestWebSweepAdaptiveSteers(t *testing.T) {
 	skipUnderRace(t)
-	bench, err := WebSweep()
+	bench, err := cachedWebSweep()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,18 +92,23 @@ func TestWebSweepAdaptiveSteers(t *testing.T) {
 // The web benchmark runs the real controller and the cohort generator
 // entirely in virtual time with fixed seeds, so its JSON rendering is
 // byte-stable — `make bench-web` regenerates BENCH_web.json
-// deterministically.
+// deterministically. A fresh sweep must render exactly as the cached
+// one does.
 func TestWebSweepJSONDeterministic(t *testing.T) {
 	skipUnderRace(t)
 	a, err := WebSweepJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := WebSweepJSON()
+	bench, err := cachedWebSweep()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(a) != string(b) {
+	b, err := json.MarshalIndent(bench, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(a) != string(b)+"\n" {
 		t.Fatal("WebSweepJSON not deterministic across calls")
 	}
 	if !strings.Contains(string(a), "\"adaptive_gain\"") {

@@ -83,9 +83,11 @@ type Event struct {
 	Findings int `json:"findings,omitempty"`
 	// Retries counts transient-failure retries observed so far.
 	Retries int `json:"retries,omitempty"`
-	// InFlight is the pipelined remote-replication window depth.
+	// InFlight is 1 when the epoch's commit left a pipelined remote
+	// shipment in flight behind the resumed guest, else 0.
 	InFlight int `json:"in_flight,omitempty"`
-	// Acked counts remote acknowledgements drained this epoch.
+	// Acked is 1 when the epoch's commit awaited a pipelined remote
+	// shipment that the remote acknowledged, else 0.
 	Acked int `json:"acked,omitempty"`
 	// Action names the recovery action tied to this phase: an unwind
 	// path ("resume", "rollback", "halt"), a degradation ("degraded"),

@@ -173,9 +173,9 @@ func NewConduitMode(h *hv.Hypervisor, backup *hv.Domain, key []byte, mode Mode, 
 // SendCheckpoint serializes and transmits the given dirty pages of the
 // primary domain and blocks until the restore process acknowledges the
 // complete checkpoint. Page contents are read through the provided
-// mapping accessor. It is Send followed by AwaitAck; a pipelined
-// shipper calls the two phases separately so encrypt/transmit of one
-// batch overlaps the ack wait of the previous one.
+// mapping accessor. It is Send followed by AwaitAck; a caller may run
+// the two phases separately to overlap encrypt/transmit of one batch
+// with the ack wait of the previous one.
 func (c *Conduit) SendCheckpoint(pfns []mem.PFN, page func(mem.PFN) ([]byte, error)) error {
 	if err := c.Send(pfns, page); err != nil {
 		return err
