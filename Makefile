@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: build test verify verify-quick bench bench-all pause-json bench-fleet \
 	bench-scan bench-cow bench-remus bench-cluster bench-web fmt-check \
-	static-check ci bench-drift scenarios test-cpus
+	static-check ci bench-drift scenarios test-cpus remus-smoke
 
 build:
 	$(GO) build ./...
@@ -19,15 +19,16 @@ verify: build
 # Short race pass over just the packages with real concurrency: the
 # sharded checkpoint copy, the concurrent detector scan, the controller
 # that drives both, the fleet scheduler running many controllers on one
-# shared hypervisor, and the observability layer they all emit into.
+# shared hypervisor, the replication conduit and its restore goroutine,
+# and the observability layer they all emit into.
 # The final steps drive traced fleet runs end-to-end under the race
 # detector: many VMs emitting into one shared tracer and registry, once
 # eagerly and once with the CoW commit's background copier and write
 # faults live. Each mode's run greps for its trace object and metric
 # series, so a mode whose counters stop reaching the trace or the
 # metrics dump fails here.
-verify-quick: test-cpus
-	$(GO) test -race ./internal/checkpoint ./internal/detect ./internal/core ./internal/hv ./internal/fleet ./internal/cluster ./internal/obs
+verify-quick: test-cpus remus-smoke
+	$(GO) test -race ./internal/checkpoint ./internal/detect ./internal/core ./internal/hv ./internal/fleet ./internal/cluster ./internal/remus ./internal/obs
 	$(GO) run -race ./cmd/crimes -vms 3 -stagger -epochs 2 \
 		-trace /tmp/crimes-verify-trace.jsonl -metrics /tmp/crimes-verify-metrics.txt >/dev/null
 	$(GO) run -race ./cmd/crimes -vms 3 -stagger -epochs 2 -cow \
@@ -52,6 +53,14 @@ verify-quick: test-cpus
 # that moves with the core count or the scheduler fails on every push.
 test-cpus:
 	$(GO) test -race -cpu 1,2,8 ./internal/core ./internal/checkpoint ./internal/fleet ./internal/cluster
+
+# Replication wire smoke: the per-layer remus benches run once (the
+# batch bench fails if its pages leave the delta path), then each remus
+# fuzz target runs for 10 s.
+remus-smoke:
+	$(GO) test -run '^$$' -bench 'HashPage|EncodeDelta|SendCheckpointV2' -benchtime 1x ./internal/remus
+	$(GO) test -run '^$$' -fuzz '^FuzzRestoreDecodeV2$$' -fuzztime 10s ./internal/remus
+	$(GO) test -run '^$$' -fuzz '^FuzzEncodeDeltaMatchesReference$$' -fuzztime 10s ./internal/remus
 
 # gofmt gate: fail listing any file that is not gofmt-clean.
 fmt-check:
@@ -91,6 +100,7 @@ ci: fmt-check static-check build
 	$(GO) test -shuffle=on ./...
 	$(GO) test -race ./...
 	$(MAKE) test-cpus
+	$(MAKE) remus-smoke
 	$(MAKE) scenarios
 	$(MAKE) bench-drift
 

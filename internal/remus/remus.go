@@ -59,15 +59,11 @@ type Conduit struct {
 	deltaBuf []byte
 	stats    cost.ReplicationCounts
 
-	// mu guards the send side (conn, enc, sendBuf, table, stats,
-	// closed); ackMu serializes ack reads. They are separate so a
-	// sender never holds the conduit lock across the backup's ack round
-	// trip: one caller can encrypt and transmit the next batch while
-	// another still waits for the previous batch's acknowledgement.
-	// restMu guards restErr, which the restore goroutine writes while
-	// senders and ack waiters read it.
+	// mu guards the whole round trip (conn, enc, sendBuf, table, stats,
+	// closed, and the ack read): one batch is encrypted, transmitted and
+	// acknowledged before the next may start. restMu guards restErr,
+	// which the restore goroutine writes while senders read it.
 	mu      sync.Mutex
-	ackMu   sync.Mutex
 	restMu  sync.Mutex
 	closed  bool
 	done    chan struct{}
@@ -170,23 +166,12 @@ func NewConduitMode(h *hv.Hypervisor, backup *hv.Domain, key []byte, mode Mode, 
 	return c, nil
 }
 
-// SendCheckpoint serializes and transmits the given dirty pages of the
-// primary domain and blocks until the restore process acknowledges the
-// complete checkpoint. Page contents are read through the provided
-// mapping accessor. It is Send followed by AwaitAck; a caller may run
-// the two phases separately to overlap encrypt/transmit of one batch
-// with the ack wait of the previous one.
+// SendCheckpoint serializes, encrypts and transmits the given dirty
+// pages of the primary domain and blocks until the restore process
+// acknowledges the complete checkpoint. Page contents are read through
+// the provided mapping accessor. The round trip holds the conduit lock,
+// so concurrent callers ship one batch at a time, in lock order.
 func (c *Conduit) SendCheckpoint(pfns []mem.PFN, page func(mem.PFN) ([]byte, error)) error {
-	if err := c.Send(pfns, page); err != nil {
-		return err
-	}
-	return c.AwaitAck()
-}
-
-// Send serializes, encrypts, and transmits one checkpoint batch without
-// waiting for the backup's acknowledgement. Every successful Send must
-// eventually be paired with one AwaitAck; acks arrive in send order.
-func (c *Conduit) Send(pfns []mem.PFN, page func(mem.PFN) ([]byte, error)) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -195,10 +180,16 @@ func (c *Conduit) Send(pfns []mem.PFN, page func(mem.PFN) ([]byte, error)) error
 	if err := c.hv.Faults().Check(FaultSend); err != nil {
 		return fmt.Errorf("remus: send checkpoint: %w", err)
 	}
+	var err error
 	if c.mode == ModeRaw {
-		return c.sendRaw(pfns, page)
+		err = c.sendRaw(pfns, page)
+	} else {
+		err = c.sendV2(pfns, page)
 	}
-	return c.sendV2(pfns, page)
+	if err != nil {
+		return err
+	}
+	return c.awaitAck()
 }
 
 // sendRaw serializes one batch in the v1 wire format under c.mu: the
@@ -227,7 +218,7 @@ func (c *Conduit) sendRaw(pfns []mem.PFN, page func(mem.PFN) ([]byte, error)) er
 	c.enc.XORKeyStream(buf, buf)
 	c.applyTamper(buf)
 	if _, err := c.conn.Write(buf); err != nil {
-		return fmt.Errorf("remus: send checkpoint: %w", err)
+		return c.pipeErr("send checkpoint", err)
 	}
 	c.sentBytes.Add(int64(len(buf)))
 	c.trimSendBuf(need)
@@ -254,25 +245,17 @@ func (c *Conduit) trimSendBuf(used int) {
 	c.sendBuf = make([]byte, 0, next)
 }
 
-// AwaitAck blocks until the restore process acknowledges the oldest
-// unacknowledged batch. The conduit mutex is NOT held here — only the
-// ack reader is serialized — so new sends proceed while waiting.
-func (c *Conduit) AwaitAck() error {
-	c.ackMu.Lock()
-	defer c.ackMu.Unlock()
+// awaitAck blocks until the restore process acknowledges the batch
+// just sent. Caller holds mu. A dead restore side closes its pipe ends,
+// so the read returns instead of hanging.
+func (c *Conduit) awaitAck() error {
 	var start time.Time
 	if c.ackNs != nil {
 		start = time.Now()
 	}
 	var ack [1]byte
 	if _, err := io.ReadFull(c.ackConn, ack[:]); err != nil {
-		// A dead restore goroutine closes its pipe ends, so the read
-		// error here is just "pipe closed" — the recorded terminal error
-		// (a failed backup write, a malformed record) is the real cause.
-		if rerr := c.restoreErr(); rerr != nil && !errors.Is(rerr, io.EOF) && !errors.Is(rerr, io.ErrClosedPipe) {
-			return fmt.Errorf("remus: await ack: restore failed: %w", rerr)
-		}
-		return fmt.Errorf("remus: await ack: %w", err)
+		return c.pipeErr("await ack", err)
 	}
 	if ack[0] != ackByte {
 		return fmt.Errorf("remus: bad ack %#x", ack[0])
@@ -323,11 +306,22 @@ func (c *Conduit) restore(conn, ackConn net.Conn, dec cipher.Stream) {
 	}
 }
 
+// pipeErr wraps a failed write or ack read. A dead restore goroutine
+// closes its pipe ends, so the pipe error is just "pipe closed": the
+// recorded terminal error (a failed backup write, a malformed record)
+// is the real cause, and is returned when there is one.
+func (c *Conduit) pipeErr(op string, err error) error {
+	if rerr := c.restoreErr(); rerr != nil && !errors.Is(rerr, io.EOF) && !errors.Is(rerr, io.ErrClosedPipe) {
+		return fmt.Errorf("remus: %s: restore failed: %w", op, rerr)
+	}
+	return fmt.Errorf("remus: %s: %w", op, err)
+}
+
 // failRestore records the restore side's terminal error and tears down
-// its pipe ends. Closing the pipes matters: a primary blocked in Send
-// or AwaitAck would otherwise hang forever on a half-dead conduit, and
-// once unblocked it can surface the recorded cause instead of a bare
-// pipe error.
+// its pipe ends. Closing the pipes matters: a primary blocked in
+// SendCheckpoint would otherwise hang forever on a half-dead conduit,
+// holding the lock Close needs, and once unblocked it can surface the
+// recorded cause instead of a bare pipe error.
 func (c *Conduit) failRestore(conn, ackConn net.Conn, err error) {
 	c.restMu.Lock()
 	if c.restErr == nil {

@@ -12,6 +12,7 @@
 package remus
 
 import (
+	"bufio"
 	"bytes"
 	"container/list"
 	"crypto/cipher"
@@ -19,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 
 	"repro/internal/cost"
@@ -53,20 +55,77 @@ const (
 var zeroPage [mem.PageSize]byte
 var zeroHash = hashPage(zeroPage[:])
 
-// hashPage is FNV-1a over the page contents: cheap, deterministic, and
-// collision-checked (every hash match is confirmed with bytes.Equal
-// before a reference record is emitted).
+// xxHash64 primes.
+const (
+	xxPrime1 uint64 = 11400714785074694791
+	xxPrime2 uint64 = 14029467366897019727
+	xxPrime3 uint64 = 1609587929392839161
+	xxPrime4 uint64 = 9650029242287828579
+	xxPrime5 uint64 = 2870177450012600261
+
+	// Lane seeds 1 and 4 for seed 0: xxPrime1+xxPrime2 and -xxPrime1,
+	// mod 2^64.
+	xxLane1 uint64 = 6983438078262162902
+	xxLane4 uint64 = 7046029288634856825
+)
+
+// hashPage is xxHash64 (seed 0) over the page contents: four
+// independent lanes over 8-byte words, so the multiplies of one stripe
+// overlap instead of chaining byte by byte. The hash never reaches the
+// wire; it only picks candidates, and every hash match is confirmed
+// with bytes.Equal before a reference record is emitted.
 func hashPage(p []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, b := range p {
-		h ^= uint64(b)
-		h *= prime64
+	n := len(p)
+	var h uint64
+	if n >= 32 {
+		v1, v2, v3, v4 := xxLane1, xxPrime2, uint64(0), xxLane4
+		for ; len(p) >= 32; p = p[32:] {
+			v1 = xxRound(v1, binary.LittleEndian.Uint64(p[0:8]))
+			v2 = xxRound(v2, binary.LittleEndian.Uint64(p[8:16]))
+			v3 = xxRound(v3, binary.LittleEndian.Uint64(p[16:24]))
+			v4 = xxRound(v4, binary.LittleEndian.Uint64(p[24:32]))
+		}
+		h = bits.RotateLeft64(v1, 1) + bits.RotateLeft64(v2, 7) +
+			bits.RotateLeft64(v3, 12) + bits.RotateLeft64(v4, 18)
+		h = xxMerge(h, v1)
+		h = xxMerge(h, v2)
+		h = xxMerge(h, v3)
+		h = xxMerge(h, v4)
+	} else {
+		h = xxPrime5
 	}
+	h += uint64(n)
+	for ; len(p) >= 8; p = p[8:] {
+		h ^= xxRound(0, binary.LittleEndian.Uint64(p))
+		h = bits.RotateLeft64(h, 27)*xxPrime1 + xxPrime4
+	}
+	if len(p) >= 4 {
+		h ^= uint64(binary.LittleEndian.Uint32(p)) * xxPrime1
+		h = bits.RotateLeft64(h, 23)*xxPrime2 + xxPrime3
+		p = p[4:]
+	}
+	for _, b := range p {
+		h ^= uint64(b) * xxPrime5
+		h = bits.RotateLeft64(h, 11) * xxPrime1
+	}
+	h ^= h >> 33
+	h *= xxPrime2
+	h ^= h >> 29
+	h *= xxPrime3
+	h ^= h >> 32
 	return h
+}
+
+// xxRound folds one 8-byte word into a lane accumulator.
+func xxRound(acc, input uint64) uint64 {
+	acc += input * xxPrime2
+	return bits.RotateLeft64(acc, 31) * xxPrime1
+}
+
+// xxMerge folds a finished lane into the combined hash.
+func xxMerge(acc, v uint64) uint64 {
+	acc ^= xxRound(0, v)
+	return acc*xxPrime1 + xxPrime4
 }
 
 // ventry is one shipped-version table entry: the last content shipped
@@ -174,9 +233,7 @@ const minGap = 4
 func encodeDelta(dst, base, page []byte) (_ []byte, ok bool) {
 	pos, i := 0, 0
 	for i < mem.PageSize {
-		for i < mem.PageSize && page[i] == base[i] {
-			i++
-		}
+		i = nextDiff(base, page, i)
 		if i == mem.PageSize {
 			break
 		}
@@ -200,6 +257,27 @@ func encodeDelta(dst, base, page []byte) (_ []byte, ok bool) {
 		pos, i = end, end
 	}
 	return dst, true
+}
+
+// nextDiff returns the first index at or after i where a and b differ,
+// or len(a) when they agree from i on. Equal stretches are skipped 64
+// bytes at a time, then one 8-byte word at a time, and the lowest set
+// bit of the first nonzero XOR word locates the differing byte (words
+// are read little-endian, so bit order is byte order).
+func nextDiff(a, b []byte, i int) int {
+	const chunk = 64
+	for i+chunk <= len(a) && bytes.Equal(a[i:i+chunk], b[i:i+chunk]) {
+		i += chunk
+	}
+	for ; i+8 <= len(a); i += 8 {
+		if x := binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:]); x != 0 {
+			return i + bits.TrailingZeros64(x)/8
+		}
+	}
+	for i < len(a) && a[i] == b[i] {
+		i++
+	}
+	return i
 }
 
 // applyDelta applies an encoded XOR delta in place to page (the
@@ -264,7 +342,7 @@ func (c *Conduit) sendV2(pfns []mem.PFN, page func(mem.PFN) ([]byte, error)) err
 	c.enc.XORKeyStream(buf, buf)
 	c.applyTamper(buf)
 	if _, err := c.conn.Write(buf); err != nil {
-		return fmt.Errorf("remus: send checkpoint: %w", err)
+		return c.pipeErr("send checkpoint", err)
 	}
 	c.sentBytes.Add(int64(len(buf)))
 	d.Batches = 1
@@ -317,16 +395,24 @@ func (c *Conduit) encodePage(buf []byte, pfn mem.PFN, p []byte, d *cost.Replicat
 	return append(buf, p...)
 }
 
+// restoreBufSize is the restore side's read buffer: large enough that
+// a batch of small records crosses the pipe in a few reads instead of
+// several per record.
+const restoreBufSize = 64 << 10
+
 // restoreV2 is the backup-side loop for the v2 protocol: apply one
 // validated batch, acknowledge it, repeat. Any failure tears the
 // conduit's restore side down so blocked senders unblock and can read
-// the recorded cause.
+// the recorded cause. The pipe is read through one buffer that lives as
+// long as the conduit; a read never waits for more bytes than the
+// sender has written, so buffering cannot stall a batch.
 func (c *Conduit) restoreV2(conn, ackConn net.Conn, dec cipher.Stream) {
 	defer close(c.done)
+	r := bufio.NewReaderSize(conn, restoreBufSize)
 	pageBuf := make([]byte, mem.PageSize)
 	deltaBuf := make([]byte, mem.PageSize)
 	for {
-		if err := c.applyBatchV2(conn, dec, pageBuf, deltaBuf); err != nil {
+		if err := c.applyBatchV2(r, dec, pageBuf, deltaBuf); err != nil {
 			c.failRestore(conn, ackConn, err)
 			return
 		}

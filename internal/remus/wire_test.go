@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/hv"
 	"repro/internal/mem"
@@ -292,9 +293,10 @@ func TestSendBufShrinksAfterLargeBatch(t *testing.T) {
 	}
 }
 
-// Satellite: when the backup-side write fails, AwaitAck must surface
-// the restore goroutine's terminal error, not a bare pipe error — and
-// must not hang on the half-dead conduit.
+// When the backup-side write fails, SendCheckpoint must surface the
+// restore goroutine's terminal error, not a bare pipe error, and must
+// not hang on the half-dead conduit; Close must then return promptly
+// with the same cause.
 func TestAwaitAckSurfacesRestoreError(t *testing.T) {
 	for _, mode := range []Mode{ModeRaw, ModeDeltaDedup} {
 		mode := mode
@@ -313,7 +315,6 @@ func TestAwaitAckSurfacesRestoreError(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewConduitMode: %v", err)
 			}
-			defer c.Close()
 			if err := primary.WritePhys(0, []byte{7}); err != nil {
 				t.Fatalf("WritePhys: %v", err)
 			}
@@ -321,15 +322,22 @@ func TestAwaitAckSurfacesRestoreError(t *testing.T) {
 			if err := h.DestroyDomain(backup.ID()); err != nil {
 				t.Fatalf("DestroyDomain: %v", err)
 			}
-			if err := c.Send([]mem.PFN{0}, pageReader(h, primary)); err != nil {
-				t.Fatalf("Send: %v", err)
-			}
-			err = c.AwaitAck()
+			err = c.SendCheckpoint([]mem.PFN{0}, pageReader(h, primary))
 			if err == nil {
-				t.Fatal("AwaitAck succeeded against a destroyed backup")
+				t.Fatal("SendCheckpoint succeeded against a destroyed backup")
 			}
 			if !errors.Is(err, hv.ErrBadState) {
-				t.Fatalf("AwaitAck error %v does not wrap the restore cause (hv.ErrBadState)", err)
+				t.Fatalf("SendCheckpoint error %v does not wrap the restore cause (hv.ErrBadState)", err)
+			}
+			closed := make(chan error, 1)
+			go func() { closed <- c.Close() }()
+			select {
+			case err := <-closed:
+				if !errors.Is(err, hv.ErrBadState) {
+					t.Fatalf("Close error %v does not wrap the restore cause (hv.ErrBadState)", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Close hung after the restore side died")
 			}
 		})
 	}
